@@ -68,6 +68,23 @@ impl Args {
         }
     }
 
+    /// A float flag that must be finite and satisfy `ok`; `what` says
+    /// which values are allowed, for the error message.
+    fn fnum_where(
+        &self,
+        flag: &str,
+        default: f64,
+        what: &str,
+        ok: impl Fn(f64) -> bool,
+    ) -> Result<f64, String> {
+        let v = self.fnum(flag, default)?;
+        if v.is_finite() && ok(v) {
+            Ok(v)
+        } else {
+            Err(format!("{flag} must be {what}, got {v}"))
+        }
+    }
+
     fn required(&self, flag: &str) -> Result<&str, String> {
         self.get(flag).ok_or_else(|| format!("missing required {flag}"))
     }
@@ -626,25 +643,26 @@ fn cmd_serve(args: &Args) -> Result<u64, String> {
     cfg.shards = args.num("--shards", cfg.shards as u64)?.max(1) as usize;
     cfg.keys = args.num("--keys", cfg.keys)?.max(1);
     cfg.ops = args.num("--ops", cfg.ops)?;
-    cfg.rate_ops_per_sec = args.fnum("--rate", cfg.rate_ops_per_sec)?;
-    cfg.theta = args.fnum("--theta", cfg.theta)?;
-    cfg.get_ratio = args.fnum("--get-ratio", cfg.get_ratio)?;
+    let positive = |flag: &str, default: f64| {
+        args.fnum_where(flag, default, "positive and finite", |v| v > 0.0)
+    };
+    let nonnegative = |flag: &str, default: f64| {
+        args.fnum_where(flag, default, "nonnegative and finite", |v| v >= 0.0)
+    };
+    cfg.rate_ops_per_sec = positive("--rate", cfg.rate_ops_per_sec)?;
+    cfg.theta = args.fnum_where("--theta", cfg.theta, "in [0, 1)", |v| (0.0..1.0).contains(&v))?;
+    cfg.get_ratio =
+        args.fnum_where("--get-ratio", cfg.get_ratio, "in [0, 1]", |v| (0.0..=1.0).contains(&v))?;
     cfg.qdepth = args.num("--qdepth", cfg.qdepth as u64)?.max(1) as usize;
     cfg.batch = args.num("--batch", cfg.batch as u64)?.max(1) as usize;
-    cfg.batch_wait_ns = args.fnum("--batch-wait-ns", cfg.batch_wait_ns)?;
-    cfg.cpu_ns = args.fnum("--cpu-ns", cfg.cpu_ns)?;
+    cfg.batch_wait_ns = nonnegative("--batch-wait-ns", cfg.batch_wait_ns)?;
+    cfg.cpu_ns = nonnegative("--cpu-ns", cfg.cpu_ns)?;
     cfg.banks = args.num("--banks", cfg.banks as u64)?.max(1) as usize;
-    cfg.write_latency_ns = args.fnum("--latency", cfg.write_latency_ns)?;
+    cfg.write_latency_ns = positive("--latency", cfg.write_latency_ns)?;
     cfg.interleave_bytes = args.num("--interleave", cfg.interleave_bytes)?;
     cfg.seed = args.num("--seed", cfg.seed)?;
-    if !(0.0..1.0).contains(&cfg.theta) {
-        return Err(format!("--theta must be in [0, 1), got {}", cfg.theta));
-    }
-    if !(0.0..=1.0).contains(&cfg.get_ratio) {
-        return Err(format!("--get-ratio must be in [0, 1], got {}", cfg.get_ratio));
-    }
-    if cfg.rate_ops_per_sec <= 0.0 {
-        return Err("--rate must be positive".into());
+    if !cfg.interleave_bytes.is_power_of_two() {
+        return Err(format!("--interleave must be a power of two, got {}", cfg.interleave_bytes));
     }
     // `--smoke` runs the deterministic virtual-time simulation (the CI
     // determinism contract); the default paces real worker threads.
@@ -655,15 +673,12 @@ fn cmd_serve(args: &Args) -> Result<u64, String> {
         // Saturation-knee sweep: always virtual time (each probe is a full
         // deterministic run; --rate is ignored, the sweep owns the rate).
         let knee = KneeConfig {
-            shed_frac: args.fnum("--knee-shed", 0.01)?,
-            p99_limit_ns: args.fnum("--knee-p99", 0.0)?,
-            rate_floor: args.fnum("--knee-floor", 50_000.0)?,
+            shed_frac: nonnegative("--knee-shed", 0.01)?,
+            p99_limit_ns: nonnegative("--knee-p99", 0.0)?,
+            rate_floor: positive("--knee-floor", 50_000.0)?,
             probes: args.num("--knee-probes", 6)? as usize,
             workers: runner.workers(),
         };
-        if knee.shed_frac < 0.0 {
-            return Err("--knee-shed must be nonnegative".into());
-        }
         let results = find_knees(&cfg, &models, &knee)?;
         let runs: u64 = results.iter().map(|k| k.runs as u64).sum();
         let meta = RunMeta::collect(runner.workers(), runner.effective_workers(cfg.shards));

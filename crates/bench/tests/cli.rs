@@ -169,6 +169,37 @@ fn errors_are_reported_cleanly() {
     std::fs::write(&bad, b"definitely not a trace").unwrap();
     let out = psim().args(["analyze", "--trace", &bad]).output().expect("run");
     assert!(!out.status.success());
+
+    // Non-finite or out-of-range serve flags: an error naming the flag,
+    // never a panic and never a report.
+    for (flag, value) in [
+        ("--rate", "nan"),
+        ("--rate", "inf"),
+        ("--rate", "0"),
+        ("--cpu-ns", "nan"),
+        ("--cpu-ns", "-1"),
+        ("--latency", "nan"),
+        ("--latency", "0"),
+        ("--batch-wait-ns", "-1e12"),
+        ("--batch-wait-ns", "inf"),
+        ("--theta", "nan"),
+        ("--get-ratio", "nan"),
+        ("--interleave", "3"),
+        ("--knee-shed", "nan"),
+        ("--knee-p99", "-1"),
+        ("--knee-floor", "nan"),
+    ] {
+        let mut args = vec!["serve", "--smoke", "--ops", "100", "--keys", "100", flag, value];
+        if flag.starts_with("--knee") {
+            args.push("--knee");
+        }
+        let out = psim().args(&args).output().expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}: {stderr}");
+        assert!(stderr.contains(flag), "{flag} {value} not named: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flag} {value} panicked: {stderr}");
+        assert!(out.stdout.is_empty(), "{flag} {value} rendered a report");
+    }
 }
 
 #[test]

@@ -8,10 +8,18 @@
 //!
 //! Everything is driven by the vendored splitmix64 [`SmallRng`]: the
 //! stream for a given `(seed, keys, theta, rate, get_ratio, ops)` is a
-//! pure function, so any shard (or worker) can regenerate it and filter
-//! out its own keys — the trick that lets the virtual-time mode simulate
-//! shards fully independently and still agree byte-for-byte with any
-//! other worker count.
+//! pure function of its parameters.
+//!
+//! The virtual-time mode drains that stream **once** per run and routes
+//! every request into the `ArrivalLog` of the shard that owns its key. A
+//! log is a compact byte string — per request, LEB128 varints of the
+//! `seq` delta, the `at_ns` delta and `key << 1 | is_put`, about 6 B at
+//! the default shapes against the 32 B of an [`Op`] — so the logs of all
+//! shards together cost a few bytes per request while the shards
+//! themselves (several MB of image and device state each) are simulated
+//! only a worker's worth at a time. Each shard replays exactly its share
+//! of the stream, in stream order, so the result is the same as if every
+//! shard had generated the whole stream and filtered out its own keys.
 
 use mem_trace::rng::SmallRng;
 
@@ -28,10 +36,11 @@ fn unit(rng: &mut SmallRng) -> f64 {
 #[derive(Debug, Clone)]
 pub struct Zipfian {
     n: u64,
-    theta: f64,
     alpha: f64,
     zetan: f64,
     eta: f64,
+    /// `1 + 0.5^theta`: the `uz` bound below which rank 1 is drawn.
+    rank1_bound: f64,
 }
 
 impl Zipfian {
@@ -50,7 +59,7 @@ impl Zipfian {
         } else {
             0.0
         };
-        Zipfian { n, theta, alpha, zetan, eta }
+        Zipfian { n, alpha, zetan, eta, rank1_bound: 1.0 + 0.5f64.powf(theta) }
     }
 
     /// Number of ranks.
@@ -65,7 +74,7 @@ impl Zipfian {
         if uz < 1.0 {
             return 0;
         }
-        if self.n >= 2 && uz < 1.0 + 0.5f64.powf(self.theta) {
+        if self.n >= 2 && uz < self.rank1_bound {
             return 1;
         }
         let rank = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
@@ -173,6 +182,104 @@ pub fn shard_of(key: u64, shards: usize) -> usize {
     (x % shards as u64) as usize
 }
 
+/// Largest key an [`ArrivalLog`] holds: the request kind rides in the
+/// low bit of the encoded key.
+const MAX_LOG_KEY: u64 = u64::MAX >> 1;
+
+/// One shard's arrivals, in stream order, as a delta + LEB128 varint
+/// byte string (see the module docs). Push in order, replay with
+/// [`ArrivalLog::iter`]; deltas wrap, so any `Op` sequence round-trips
+/// exactly, but in-order arrivals are what keep the deltas short.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ArrivalLog {
+    bytes: Vec<u8>,
+    last_seq: u64,
+    last_at: u64,
+}
+
+impl ArrivalLog {
+    /// Appends one request.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `op.key` exceeds [`MAX_LOG_KEY`].
+    pub(crate) fn push(&mut self, op: &Op) {
+        assert!(op.key <= MAX_LOG_KEY, "arrival log keys are limited to 63 bits, got {}", op.key);
+        put_varint(&mut self.bytes, op.seq.wrapping_sub(self.last_seq));
+        put_varint(&mut self.bytes, op.at_ns.wrapping_sub(self.last_at));
+        put_varint(&mut self.bytes, op.key << 1 | (op.kind == OpKind::Put) as u64);
+        self.last_seq = op.seq;
+        self.last_at = op.at_ns;
+    }
+
+    /// Replays the log from the start.
+    pub(crate) fn iter(&self) -> ArrivalIter<'_> {
+        ArrivalIter { bytes: &self.bytes, pos: 0, seq: 0, at_ns: 0 }
+    }
+}
+
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Decoding cursor over an [`ArrivalLog`].
+pub(crate) struct ArrivalIter<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    seq: u64,
+    at_ns: u64,
+}
+
+impl ArrivalIter<'_> {
+    /// Reads one varint. The log was written by [`put_varint`], so every
+    /// varint is complete and at most ten bytes long.
+    #[inline]
+    fn varint(&mut self) -> u64 {
+        let mut v = 0u64;
+        let mut shift = 0;
+        loop {
+            let b = self.bytes[self.pos];
+            self.pos += 1;
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                return v;
+            }
+            shift += 7;
+        }
+    }
+}
+
+impl Iterator for ArrivalIter<'_> {
+    type Item = Op;
+
+    #[inline]
+    fn next(&mut self) -> Option<Op> {
+        if self.pos == self.bytes.len() {
+            return None;
+        }
+        self.seq = self.seq.wrapping_add(self.varint());
+        self.at_ns = self.at_ns.wrapping_add(self.varint());
+        let word = self.varint();
+        let kind = if word & 1 == 1 { OpKind::Put } else { OpKind::Get };
+        Some(Op { seq: self.seq, at_ns: self.at_ns, key: word >> 1, kind })
+    }
+}
+
+/// Drains `ops` once, appending each request to the log of the shard
+/// [`shard_of`] assigns its key to. Returns one log per shard.
+pub(crate) fn route(ops: impl IntoIterator<Item = Op>, shards: usize) -> Vec<ArrivalLog> {
+    let shards = shards.max(1);
+    let mut logs = vec![ArrivalLog::default(); shards];
+    for op in ops {
+        logs[shard_of(op.key, shards)].push(&op);
+    }
+    logs
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,6 +342,90 @@ mod tests {
             assert_eq!(per.iter().sum::<u64>(), 10_000);
             let lo = per.iter().min().unwrap();
             assert!(*lo as f64 > 0.7 * 10_000.0 / shards as f64, "balanced: {per:?}");
+        }
+    }
+
+    fn same_op(a: &Op, b: &Op) -> bool {
+        (a.seq, a.at_ns, a.key, a.kind) == (b.seq, b.at_ns, b.key, b.kind)
+    }
+
+    #[test]
+    fn log_round_trips_extreme_fields() {
+        // Out-of-order and wrapping deltas, ten-byte varints, both kinds.
+        let ops = [
+            Op { seq: 0, at_ns: 0, key: 0, kind: OpKind::Get },
+            Op { seq: u64::MAX, at_ns: u64::MAX, key: MAX_LOG_KEY, kind: OpKind::Put },
+            Op { seq: 3, at_ns: 1 << 63, key: 1, kind: OpKind::Put },
+            Op { seq: 2, at_ns: 5, key: MAX_LOG_KEY - 1, kind: OpKind::Get },
+            Op { seq: 2, at_ns: 5, key: 127, kind: OpKind::Put },
+        ];
+        let mut log = ArrivalLog::default();
+        for op in &ops {
+            log.push(op);
+        }
+        let back: Vec<Op> = log.iter().collect();
+        assert_eq!(back.len(), ops.len());
+        for (a, b) in ops.iter().zip(&back) {
+            assert!(same_op(a, b), "{a:?} decoded as {b:?}");
+        }
+        assert!(ArrivalLog::default().iter().next().is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "limited to 63 bits")]
+    fn log_rejects_keys_past_63_bits() {
+        let op = Op { seq: 0, at_ns: 0, key: MAX_LOG_KEY + 1, kind: OpKind::Get };
+        ArrivalLog::default().push(&op);
+    }
+
+    /// Over random configurations, the shard logs together hold exactly
+    /// the generated stream — every field of every request, each request
+    /// in the shard `shard_of` names, each log in stream order.
+    #[test]
+    fn routed_logs_decode_to_the_stream() {
+        let mut rng = SmallRng::seed_from_u64(0x5eed);
+        for case in 0..48 {
+            let shards = 1 + (rng.next_u64() % 16) as usize;
+            // 1e2..1e9 requests/s: slow rates give multi-second gaps.
+            let rate = 10f64.powf(2.0 + 7.0 * unit(&mut rng));
+            let keys = 1 + rng.next_u64() % 50_000;
+            let theta = [0.0, 0.5, 0.99][case % 3];
+            let get_ratio = unit(&mut rng).min(1.0);
+            let ops = rng.next_u64() % 3_000;
+            let z = Zipfian::new(keys, theta);
+            let mut stream: Vec<Op> =
+                OpStream::new(&z, rng.next_u64(), rate, get_ratio, ops).collect();
+            if case % 2 == 1 {
+                // Keys at the top of the encodable range.
+                for op in &mut stream {
+                    op.key = MAX_LOG_KEY - op.key;
+                }
+            }
+            let logs = route(stream.iter().copied(), shards);
+            assert_eq!(logs.len(), shards);
+            let mut decoded: Vec<Op> = Vec::new();
+            for (s, log) in logs.iter().enumerate() {
+                let mine: Vec<Op> = log.iter().collect();
+                assert!(mine.windows(2).all(|w| w[0].seq < w[1].seq), "log {s} out of order");
+                assert!(mine.iter().all(|op| shard_of(op.key, shards) == s), "misrouted in {s}");
+                decoded.extend(mine);
+            }
+            decoded.sort_by_key(|op| op.seq);
+            assert_eq!(decoded.len(), stream.len());
+            for (a, b) in stream.iter().zip(&decoded) {
+                assert!(same_op(a, b), "case {case}: {a:?} decoded as {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn logs_stay_within_eight_bytes_per_request() {
+        let z = Zipfian::new(200_000, 0.99);
+        for rate in [2e6, 8e6, 20e6] {
+            let logs = route(OpStream::new(&z, 42, rate, 0.5, 50_000), 8);
+            let bytes: usize = logs.iter().map(|log| log.bytes.len()).sum();
+            let per = bytes as f64 / 50_000.0;
+            assert!(per <= 8.0, "{per:.2} B/request at {rate} requests/s");
         }
     }
 

@@ -3,14 +3,18 @@
 //!
 //! # Determinism (virtual-time mode)
 //!
-//! Each shard's simulation depends only on `(config, model, shard id)`:
-//! the shard regenerates the seeded global arrival stream, keeps the ops
-//! whose keys hash to it, and advances its private device clock. No state
-//! crosses shards, so shards can be simulated on any number of workers;
-//! results are merged in shard order, every histogram merge is
-//! commutative elementwise addition, and all derived floats are computed
-//! from the merged values in a fixed order — the rendered report is
-//! byte-identical for any worker count.
+//! Each shard's simulation depends only on `(config, model, shard id)`.
+//! The run drains the seeded global arrival stream once, up front, and
+//! routes every request into its shard's `ArrivalLog` (about 6 B per
+//! request); each shard then replays its own log — exactly its share of
+//! the stream, in stream order — and advances its private device clock.
+//! No state crosses shards, so shards can be simulated on any number of
+//! workers; only `workers` shards (several MB of image and device state
+//! each) are live at once, while the logs of all of them cost a few bytes
+//! per request. Results are merged in shard order, every histogram merge
+//! is commutative elementwise addition, and all derived floats are
+//! computed from the merged values in a fixed order — the rendered report
+//! is byte-identical for any worker count.
 //!
 //! # Wall-clock mode
 //!
@@ -21,7 +25,7 @@
 //! latency is `durable − arrival` either way.
 
 use crate::device::{buffered, DeviceStats};
-use crate::gen::{shard_of, Op, OpKind, OpStream, Zipfian};
+use crate::gen::{route, shard_of, ArrivalLog, Op, OpKind, OpStream, Zipfian};
 use crate::shard::{Shard, StoreKind};
 use nvram::DeviceConfig;
 use obsv::hist::Histogram;
@@ -432,7 +436,8 @@ impl Telemetry {
 }
 
 /// Deterministic-order parallel map over shard ids (work stealing by
-/// index; results land in shard order regardless of scheduling).
+/// index; results land in shard order regardless of scheduling). Each
+/// worker holds one shard at a time, so at most `workers` are live.
 fn parallel_shards<R, F>(shards: usize, workers: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -446,13 +451,19 @@ where
     let slots: Vec<Mutex<Option<R>>> = (0..shards).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|s| {
         for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= shards {
-                    break;
+            s.spawn(|| {
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= shards {
+                        break;
+                    }
+                    let r = f(i);
+                    *slots[i].lock().unwrap() = Some(r);
                 }
-                let r = f(i);
-                *slots[i].lock().unwrap() = Some(r);
+                // Scoped threads do not run TLS destructors before the
+                // scope unblocks; merge buffered obsv data (counters,
+                // series, trace events) now so callers see all of it.
+                obsv::flush();
             });
         }
     });
@@ -543,8 +554,13 @@ fn dispatch_batch(
     batch.clear();
 }
 
-/// Simulates one shard on virtual time.
-fn simulate_shard(cfg: &ServeConfig, model: Model, zipf: &Zipfian, shard_id: usize) -> ShardOutcome {
+/// Simulates one shard on virtual time, replaying its arrival log.
+fn simulate_shard(
+    cfg: &ServeConfig,
+    model: Model,
+    arrivals: &ArrivalLog,
+    shard_id: usize,
+) -> ShardOutcome {
     let mut shard = Shard::new(
         cfg.kind,
         model,
@@ -563,10 +579,7 @@ fn simulate_shard(cfg: &ServeConfig, model: Model, zipf: &Zipfian, shard_id: usi
     let mut batch: Vec<Op> = Vec::with_capacity(batch_cap);
     let mut slots: Vec<(Op, f64, f64, f64)> = Vec::with_capacity(batch_cap);
     let mut deadline = 0.0f64;
-    for op in OpStream::new(zipf, cfg.seed, cfg.rate_ops_per_sec, cfg.get_ratio, cfg.ops) {
-        if shard_of(op.key, cfg.shards) != shard_id {
-            continue;
-        }
+    for op in arrivals.iter() {
         out.offered += 1;
         // A waiting batch whose deadline passed dispatches first (virtual
         // time: nothing else happened on this shard in between, so the
@@ -616,11 +629,6 @@ fn simulate_shard(cfg: &ServeConfig, model: Model, zipf: &Zipfian, shard_id: usi
     out.device = shard.dev.stats();
     out.validation = shard.validate();
     tel.finish();
-    if tel.obsv_on {
-        // Worker threads must flush before their closure returns: scope
-        // join doesn't wait for TLS destructors.
-        obsv::flush();
-    }
     out
 }
 
@@ -866,8 +874,11 @@ pub fn run_model(
     let zipf = Zipfian::new(cfg.keys, cfg.theta);
     match mode {
         Mode::Virtual => {
+            let stream =
+                OpStream::new(&zipf, cfg.seed, cfg.rate_ops_per_sec, cfg.get_ratio, cfg.ops);
+            let logs = route(stream, cfg.shards);
             let outcomes =
-                parallel_shards(cfg.shards, workers, |id| simulate_shard(cfg, model, &zipf, id));
+                parallel_shards(cfg.shards, workers, |id| simulate_shard(cfg, model, &logs[id], id));
             merge(model, outcomes, None)
         }
         Mode::Wall => {

@@ -15,7 +15,8 @@
 //!
 //! 1. [`gen`] — seeded open-loop generator: Poisson arrivals at a
 //!    configured rate, Zipfian keys over millions of distinct keys,
-//!    a hash partition of keys onto shards.
+//!    a hash partition of keys onto shards, and the compact per-shard
+//!    arrival logs the virtual-time mode replays.
 //! 2. [`shard`] — each shard is an independent recovery unit: one
 //!    structure instance over a private persistent image, validated by
 //!    actually running recovery after the run.
