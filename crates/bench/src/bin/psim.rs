@@ -410,10 +410,7 @@ fn cmd_cuts(args: &Args) -> Result<u64, String> {
         Some(map) => {
             let events = map.event_count();
             let workers = SweepRunner::from_env().workers();
-            let dag = partition::with_source(&map, workers, |src| {
-                PersistDag::build_source(src, &cfg)
-            })
-            .map_err(|e| e.to_string())?;
+            let dag = partition::build_dag(&map, &cfg, workers).map_err(|e| e.to_string())?;
             (dag, events)
         }
         None => {

@@ -122,6 +122,61 @@ fn profile_json_is_byte_identical_across_worker_counts() {
     assert!(serial.contains("\"checks\""));
 }
 
+/// `psim analyze --json` and `psim cuts --json`, below the meta line, must
+/// reproduce checked-in bytes at one worker and at three: a worker-count
+/// diff alone misses a change applied to both paths alike. `cuts` runs
+/// with zero samples, which pins the DAG build; sampling keeps every
+/// prefix of every linear extension, quadratic in the DAG's 36k nodes.
+///
+/// After a deliberate output change, regenerate with:
+///
+/// ```sh
+/// psim capture --queue cwl --mode racing --threads 2 --inserts 1200 --seed 42 --out pin.trace
+/// psim analyze --trace pin.trace --json | grep -v '^  "meta"' \
+///     > crates/bench/tests/fixtures/analyze_cwl_racing.json
+/// psim cuts --trace pin.trace --json --model epoch --samples 0 | grep -v '^  "meta"' \
+///     > crates/bench/tests/fixtures/cuts_cwl_racing_epoch.json
+/// ```
+#[test]
+fn analyze_and_cuts_json_match_checked_in_fixtures() {
+    let trace = tmp("pinned.trace");
+    let out = psim()
+        .args([
+            "capture", "--queue", "cwl", "--mode", "racing", "--threads", "2", "--inserts",
+            "1200", "--seed", "42", "--out", &trace,
+        ])
+        .output()
+        .expect("run psim capture");
+    assert!(out.status.success(), "capture failed: {}", String::from_utf8_lossy(&out.stderr));
+    let map = mem_trace::mmapio::MappedTrace::open(&trace).expect("map capture");
+    assert!(map.segment_count() >= 2, "want a multi-segment capture, got {}", map.segment_count());
+
+    let below_meta = |args: &[&str], threads: &str| -> String {
+        let out = psim().args(args).env("SWEEP_THREADS", threads).output().expect("run psim");
+        assert!(out.status.success(), "{args:?} failed: {}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .filter(|l| !l.starts_with("  \"meta\""))
+            .map(|l| format!("{l}\n"))
+            .collect()
+    };
+    for threads in ["1", "3"] {
+        assert_eq!(
+            below_meta(&["analyze", "--trace", &trace, "--json"], threads),
+            include_str!("fixtures/analyze_cwl_racing.json"),
+            "analyze at SWEEP_THREADS={threads}"
+        );
+        assert_eq!(
+            below_meta(
+                &["cuts", "--trace", &trace, "--json", "--model", "epoch", "--samples", "0"],
+                threads
+            ),
+            include_str!("fixtures/cuts_cwl_racing_epoch.json"),
+            "cuts at SWEEP_THREADS={threads}"
+        );
+    }
+}
+
 #[test]
 fn profile_table_reports_sources_and_barriers() {
     let trace = tmp("profile_table.trace");

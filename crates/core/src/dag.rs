@@ -334,11 +334,14 @@ impl fmt::Display for DagError {
 
 impl std::error::Error for DagError {}
 
+/// An in-progress DAG construction (see [`PersistDag::build_with`]).
+pub(crate) type DagRun<'s> = engine::Run<'s, DagDomain>;
+
 /// Set domain: a dependence is the antichain of persists that must happen
 /// before; on-demand level-pruned DFS makes joins and coalescing checks
 /// exact without materializing reachability.
 #[derive(Debug, Default)]
-struct DagDomain {
+pub(crate) struct DagDomain {
     nodes: Vec<DagNode>,
     /// levels[i] = critical-path depth of node i (1 + max over deps).
     levels: Vec<u32>,
@@ -508,17 +511,34 @@ impl PersistDag {
     /// Returns [`DagError::TooManyPersists`] past [`MAX_DAG_NODES`]
     /// persists, and [`DagError::Io`] on source decode/I-O failures.
     pub fn build_source<E: mem_trace::EventSource>(
-        source: E,
+        mut source: E,
         config: &AnalysisConfig,
     ) -> Result<Self, DagError> {
-        let mut dom = DagDomain::default();
+        Self::build_with(config, source.thread_count(), |run| {
+            mem_trace::for_each_slab(&mut source, |slab| run.push_events(slab))
+        })
+    }
+
+    /// Builds the DAG from the event blocks `feed` pushes into the run, in
+    /// stream order, for a trace of `nthreads` threads.
+    pub(crate) fn build_with(
+        config: &AnalysisConfig,
+        nthreads: u32,
+        feed: impl FnOnce(&mut DagRun<'_>) -> std::io::Result<()>,
+    ) -> Result<Self, DagError> {
         // Reuse the engine's working state (block tables, dependence
         // buffers) across builds on this thread, exactly as the timing
         // engine's `Analyzer` does — repeated DAG construction (observer
         // sampling, crash fuzzing, sweeps) skips the map re-growth.
-        let stats = BUILD_SCRATCH
-            .with(|s| engine::run_with_source(source, config, &mut dom, &mut s.borrow_mut()))
-            .map_err(|e| DagError::Io { kind: e.kind(), message: e.to_string() })?;
+        let (dom, stats) = BUILD_SCRATCH
+            .with(|s| {
+                let mut scratch = s.borrow_mut();
+                let mut run =
+                    engine::Run::begin(config, nthreads, DagDomain::default(), &mut scratch);
+                feed(&mut run)?;
+                Ok(run.finish())
+            })
+            .map_err(|e: std::io::Error| DagError::Io { kind: e.kind(), message: e.to_string() })?;
         if dom.overflow {
             return Err(DagError::TooManyPersists { count: dom.nodes.len() });
         }

@@ -20,7 +20,7 @@
 
 use crate::domain::{Domain, EventRef, WriteRec};
 use crate::{AnalysisConfig, Model};
-use mem_trace::{Event, EventSource, Op, SLAB_EVENTS};
+use mem_trace::{Event, Op};
 use persist_mem::FxHashMap;
 use std::collections::hash_map::Entry;
 use std::io;
@@ -107,70 +107,73 @@ impl<D: Domain> Scratch<D> {
     }
 }
 
-/// Mutable per-run bookkeeping shared by [`run_with_source`] and the
-/// incremental block-push path ([`push_events`]).
+/// Mutable per-run bookkeeping of a [`Run`].
 #[derive(Debug, Default)]
-pub(crate) struct RunState {
-    pub(crate) stats: EngineStats,
+struct RunState {
+    stats: EngineStats,
     next_index: usize,
 }
 
-impl RunState {
-    /// Emits the end-of-run observability counters (aggregate-only: totals
-    /// are a function of the trace and config, never of scheduling, so the
-    /// merged snapshot stays deterministic).
-    pub(crate) fn finish_obsv(&self) {
+/// One engine pass: [`Run::begin`] resets the scratch for the trace's
+/// threads, event blocks are pushed in stream order, and [`Run::finish`]
+/// hands back the domain and statistics. However the stream is cut into
+/// blocks, the result is the same. Every consumer — in-memory traces,
+/// streaming sources, the partition driver — feeds the engine this way.
+pub(crate) struct Run<'s, D: Domain> {
+    pub(crate) config: AnalysisConfig,
+    nthreads: usize,
+    dom: D,
+    scratch: &'s mut Scratch<D>,
+    state: RunState,
+}
+
+impl<'s, D: Domain> Run<'s, D> {
+    pub(crate) fn begin(
+        config: &AnalysisConfig,
+        nthreads: u32,
+        dom: D,
+        scratch: &'s mut Scratch<D>,
+    ) -> Self {
+        scratch.reset(&dom, nthreads as usize);
+        Run { config: *config, nthreads: nthreads as usize, dom, scratch, state: RunState::default() }
+    }
+
+    /// Propagates one event block, in stream order.
+    ///
+    /// # Errors
+    ///
+    /// Returns `InvalidData` if an event names a thread outside the run's
+    /// thread count.
+    pub(crate) fn push_events(&mut self, events: &[Event]) -> io::Result<()> {
+        push_events(&self.config, self.nthreads, &mut self.dom, self.scratch, &mut self.state, events)
+    }
+
+    /// Ends the run, emitting the end-of-run observability counters
+    /// (aggregate-only: totals are a function of the trace and config,
+    /// never of scheduling, so the merged snapshot stays deterministic).
+    pub(crate) fn finish(self) -> (D, EngineStats) {
+        let stats = self.state.stats;
         if obsv::enabled() {
             obsv::counter_add("engine.runs", 1);
-            obsv::counter_add("engine.events", self.stats.events as u64);
-            obsv::counter_add("engine.persists", self.stats.persist_ops as u64);
-            obsv::counter_add("engine.coalesced", self.stats.coalesced as u64);
-            obsv::counter_add("engine.barriers", self.stats.barriers as u64);
-            obsv::observe("engine.events_per_run", self.stats.events as u64);
+            obsv::counter_add("engine.events", stats.events);
+            obsv::counter_add("engine.persists", stats.persist_ops);
+            obsv::counter_add("engine.coalesced", stats.coalesced);
+            obsv::counter_add("engine.barriers", stats.barriers);
+            obsv::observe("engine.events_per_run", stats.events);
         }
+        (self.dom, stats)
     }
 }
 
-/// Runs the propagation over a streaming event `source` — one forward
-/// pass, so arbitrarily large serialized traces analyze in constant
-/// memory (beyond the block tables the analysis itself needs). Events are
-/// pulled in slabs ([`EventSource::fill_slab`]) and pushed through the
-/// monomorphized block loop of [`push_events`].
-///
-/// # Errors
-///
-/// Propagates the source's decode/I/O errors, and returns `InvalidData`
-/// if an event names a thread outside `source.thread_count()`.
-pub(crate) fn run_with_source<D: Domain, E: EventSource>(
-    mut source: E,
-    config: &AnalysisConfig,
-    dom: &mut D,
-    scratch: &mut Scratch<D>,
-) -> io::Result<EngineStats> {
-    let nthreads = source.thread_count() as usize;
-    scratch.reset(dom, nthreads);
-    let mut state = RunState::default();
-    let mut slab = Vec::new();
-    loop {
-        slab.clear();
-        if source.fill_slab(&mut slab, SLAB_EVENTS)? == 0 {
-            break;
-        }
-        push_events(config, nthreads, dom, scratch, &mut state, &slab)?;
-    }
-    state.finish_obsv();
-    Ok(state.stats)
-}
-
-/// Propagates one decoded event block through the engine. The caller owns
-/// chunking and decode; this is the single monomorphized hot loop every
-/// consumer (streaming, chunked-parallel, incremental) funnels through.
-/// `scratch` must have been [`Scratch::reset`] for this run.
+/// Propagates one decoded event block through the engine — the single
+/// monomorphized hot loop every [`Run`] funnels through. Separate `&mut`
+/// arguments tell the optimizer the engine state and the counters never
+/// alias. `scratch` must have been [`Scratch::reset`] for this run.
 ///
 /// # Errors
 ///
 /// Returns `InvalidData` if an event names a thread `>= nthreads`.
-pub(crate) fn push_events<D: Domain>(
+fn push_events<D: Domain>(
     config: &AnalysisConfig,
     nthreads: usize,
     dom: &mut D,

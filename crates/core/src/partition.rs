@@ -2,53 +2,48 @@
 //!
 //! Billion-event captures make the `psim analyze` pipeline — one streaming
 //! profile pass plus one engine pass per persistency model — decode the
-//! same bytes N+1 times on one core. This module splits the work across a
-//! worker pool while keeping every result **bit-identical to the
-//! sequential engines for any worker count**:
+//! same bytes N+1 times on one core. Here every analysis is a *sink*: an
+//! incremental pass that takes event blocks in stream order (a
+//! [`TraceProfile`] run, a timing engine run, a [`PersistDag`] build). One
+//! driver decodes each chunk of a [`ChunkFeed`] once and pushes it into N
+//! sinks, keeping every result **bit-identical to the sequential engines
+//! for any worker count**. [`analyze_full`] drives the profile plus one
+//! timing run per config; [`build_dag`] drives a single DAG build.
 //!
-//! - **Decode-parallel feed** ([`with_source`], [`analyze_full`]): the
-//!   trace's segment index (see `docs/mptrace2.md`) lets independent
-//!   decoders start mid-file; workers claim chunks in order but decode
-//!   them *out of order* into a bounded pool of recycled event slabs,
-//!   and each consumer walks the reassembled in-order stream — the
-//!   *exact* sequential event sequence — so the engines themselves need
-//!   no change and no stitching argument. A slow chunk never stalls the
-//!   workers behind it: back-pressure comes only from the slab pool.
-//! - **Model-parallel analysis** ([`analyze_full`]): the per-model engine
-//!   passes are independent given the same stream; each model consumes the
-//!   shared decoded chunks block-at-a-time on its own thread. Chunks are
-//!   decoded once, reference-counted, and recycled as the slowest
-//!   consumer passes them. With one worker the same sharing holds on one
-//!   thread: each chunk is decoded once and pushed through the profile
-//!   stitcher and every model's incremental engine run.
-//! - **Chunk-parallel profiling** ([`profile_chunked`]): trace profiling
-//!   *does* compose across arbitrary cuts. Per-chunk partial profiles
-//!   carry a per-thread open-epoch frontier (persists not yet closed by a
-//!   barrier) plus the in-chunk order of barrier closes; stitching folds
-//!   each chunk's frontier into the next so the merged `epoch_sizes`
-//!   vector is element-for-element the sequential one. See DESIGN.md §2b
-//!   for why the timing engine's level recurrence does *not* compose this
-//!   way (coalescing legality compares absolute levels across the cut),
-//!   which is exactly why the engines parallelize over decode and models
-//!   instead of over chunks.
+//! - With one worker or one chunk (an unindexed file, say) the calling
+//!   thread decodes each chunk and pushes it into every sink in turn; no
+//!   threads are spawned.
+//! - Otherwise the trace's segment index (see `docs/mptrace2.md`) lets
+//!   independent decoders start mid-file: workers claim chunks in order
+//!   but decode them *out of order* into a bounded pool of recycled,
+//!   reference-counted event slabs. The first sink runs on the caller and
+//!   every other sink on its own thread, each walking the reassembled
+//!   in-order stream — the *exact* sequential event sequence — so the
+//!   sinks need no change and no stitching argument. A slow chunk never
+//!   stalls the workers behind it: back-pressure comes only from the pool.
 //!
-//! The pipeline degrades gracefully: one chunk, one worker, or an
-//! unindexed file all fall back to plain sequential streaming with no
-//! threads spawned.
+//! No sink is split across chunks: the timing engine's level recurrence
+//! does not compose across cuts (coalescing legality compares absolute
+//! levels), see DESIGN.md §2b. Errors do not depend on the worker count
+//! either: the driver reports the failure at the lowest chunk, ties going
+//! to the earlier sink — the one a sequential pass meets first.
 
+use crate::dag::{DagError, PersistDag};
+use crate::domain::Domain;
+use crate::engine;
 use crate::timing::{Analyzer, TimingReport};
 use crate::AnalysisConfig;
 use mem_trace::mmapio::MappedTrace;
-use mem_trace::profile::TraceProfile;
-use mem_trace::{Event, EventSource, Op, Trace};
+use mem_trace::profile::{ProfileRun, TraceProfile};
+use mem_trace::{Event, EventSource, Trace};
 use obsv::{series, tracefmt};
 use std::collections::BTreeMap;
 use std::io;
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::{Scope, ScopedJoinHandle};
 
-/// Timeline track group (`pid`) for the chunked analysis pipeline:
-/// decode workers, per-model analyze lanes, and the profile stitcher.
-/// Distinct from the serve harness's per-model pids (1..=5).
+/// Timeline track group (`pid`) for the analysis driver: decode workers
+/// and sink lanes. Distinct from the serve harness's per-model pids (1..=5).
 const ANALYZE_PID: u64 = 10;
 
 /// Records one decoded chunk on the analysis timeline/series (wall
@@ -156,64 +151,148 @@ impl ChunkFeed for TraceChunks<'_> {
     }
 }
 
-/// Sequential [`EventSource`] over a feed: decodes chunks one at a time on
-/// the calling thread. The no-threads fallback, and the reference the
-/// parallel paths must match bit-for-bit.
-struct SeqSource<'a, F: ?Sized> {
-    feed: &'a F,
-    next_chunk: usize,
-    buf: Vec<Event>,
-    idx: usize,
+/// An incremental pass over the event stream. Blocks arrive in stream
+/// order; however the stream is cut into blocks, the result is the same.
+pub(crate) trait ChunkSink {
+    /// Consumes the next block of events.
+    fn push(&mut self, events: &[Event]) -> io::Result<()>;
 }
 
-impl<'a, F: ChunkFeed + ?Sized> SeqSource<'a, F> {
-    fn new(feed: &'a F) -> Self {
-        SeqSource { feed, next_chunk: 0, buf: Vec::new(), idx: 0 }
+impl ChunkSink for ProfileRun {
+    fn push(&mut self, events: &[Event]) -> io::Result<()> {
+        ProfileRun::push(self, events)
     }
 }
 
-impl<F: ChunkFeed + ?Sized> EventSource for SeqSource<'_, F> {
-    fn thread_count(&self) -> u32 {
-        self.feed.thread_count()
+impl<D: Domain> ChunkSink for engine::Run<'_, D> {
+    fn push(&mut self, events: &[Event]) -> io::Result<()> {
+        self.push_events(events)
     }
+}
 
-    fn next_event(&mut self) -> io::Result<Option<Event>> {
-        loop {
-            if self.idx < self.buf.len() {
-                let e = self.buf[self.idx];
-                self.idx += 1;
-                return Ok(Some(e));
-            }
-            if self.next_chunk >= self.feed.chunk_count() {
-                return Ok(None);
-            }
-            self.buf.clear();
-            self.idx = 0;
-            self.feed.decode_chunk(self.next_chunk, &mut self.buf)?;
-            self.next_chunk += 1;
-        }
-    }
+/// A sink as [`drive`] takes it: every sink but the first may run on a
+/// thread of its own.
+type Sink<'a> = &'a mut (dyn ChunkSink + Send);
 
-    fn fill_slab(&mut self, out: &mut Vec<Event>, max: usize) -> io::Result<usize> {
-        let mut n = 0;
-        while n < max {
-            if self.idx < self.buf.len() {
-                let take = (self.buf.len() - self.idx).min(max - n);
-                out.extend_from_slice(&self.buf[self.idx..self.idx + take]);
-                self.idx += take;
-                n += take;
-                continue;
-            }
-            if self.next_chunk >= self.feed.chunk_count() {
-                break;
-            }
-            self.buf.clear();
-            self.idx = 0;
-            self.feed.decode_chunk(self.next_chunk, &mut self.buf)?;
-            self.next_chunk += 1;
+/// One shared-decode pass producing the trace profile and one
+/// [`TimingReport`] per config — everything `psim analyze` computes.
+///
+/// Chunks are decoded once, by up to `workers` threads, and pushed into
+/// the profile and every config's engine run. Results are bit-identical
+/// to running [`TraceProfile::of_source`] and
+/// [`crate::timing::analyze_source`] sequentially, for any `workers`.
+///
+/// # Errors
+///
+/// Propagates decode/analysis errors: the one at the earliest chunk,
+/// within a chunk the profile's before the configs' (in order) — the same
+/// error for any `workers`.
+pub fn analyze_full<F>(
+    feed: &F,
+    configs: &[AnalysisConfig],
+    workers: usize,
+) -> io::Result<(TraceProfile, Vec<TimingReport>)>
+where
+    F: ChunkFeed + ?Sized,
+{
+    let nthreads = feed.thread_count();
+    let mut profile = TraceProfile::begin(nthreads);
+    let mut analyzers: Vec<Analyzer> = configs.iter().map(|_| Analyzer::new()).collect();
+    let mut runs: Vec<_> =
+        analyzers.iter_mut().zip(configs).map(|(a, config)| a.begin(config, nthreads)).collect();
+    let mut sinks: Vec<Sink<'_>> = std::iter::once(&mut profile as Sink<'_>)
+        .chain(runs.iter_mut().map(|run| run as Sink<'_>))
+        .collect();
+    drive(feed, workers, &mut sinks)?;
+    Ok((profile.finish(), runs.into_iter().map(|run| run.report()).collect()))
+}
+
+/// Builds the persist DAG of the feed's event stream under `config`,
+/// decoding on up to `workers` threads ahead of the build. The DAG is
+/// identical to [`PersistDag::build`]'s over the same events, for any
+/// `workers`.
+///
+/// # Errors
+///
+/// Returns [`DagError::TooManyPersists`] past the node cap and
+/// [`DagError::Io`] on decode failures.
+pub fn build_dag<F>(
+    feed: &F,
+    config: &AnalysisConfig,
+    workers: usize,
+) -> Result<PersistDag, DagError>
+where
+    F: ChunkFeed + ?Sized,
+{
+    PersistDag::build_with(config, feed.thread_count(), |run| {
+        drive(feed, workers, &mut [run as Sink<'_>])
+    })
+}
+
+/// Decodes each chunk of `feed` once and pushes it, in stream order, into
+/// every sink, with up to `workers` decode threads.
+///
+/// Of several failures it returns the one at the lowest chunk, ties going
+/// to the lower sink index: the error the sequential branch meets first,
+/// whatever `workers` is.
+fn drive<F>(feed: &F, workers: usize, sinks: &mut [Sink<'_>]) -> io::Result<()>
+where
+    F: ChunkFeed + ?Sized,
+{
+    let n_chunks = feed.chunk_count();
+    if workers <= 1 || n_chunks <= 1 {
+        if tracefmt::recording() {
+            tracefmt::name_process(ANALYZE_PID, "analyze");
+            tracefmt::name_thread(ANALYZE_PID, 0, "sequential");
         }
-        Ok(n)
+        let mut buf = Vec::new();
+        for i in 0..n_chunks {
+            buf.clear();
+            let t0 = trace_now();
+            feed.decode_chunk(i, &mut buf)?;
+            for sink in sinks.iter_mut() {
+                sink.push(&buf)?;
+            }
+            // One span per chunk covering the decode and every sink.
+            trace_chunk(0, "chunk", t0, trace_now(), i, buf.len());
+        }
+        return Ok(());
     }
+    let fd = Feed::new(feed, sinks.len(), workers);
+    let (first, rest) = sinks.split_first_mut().expect("drive needs at least one sink");
+    let results = std::thread::scope(|s| {
+        let fd = &fd;
+        for w in 0..workers.min(n_chunks) {
+            spawn_flushed(s, move || fd.decode_loop(w));
+        }
+        let others: Vec<_> = rest
+            .iter_mut()
+            .enumerate()
+            .map(|(k, sink)| spawn_flushed(s, move || fd.consume(k + 1, &mut **sink)))
+            .collect();
+        let mut results = vec![fd.consume(0, &mut **first)];
+        results.extend(others.into_iter().map(|h| h.join().expect("sink thread panicked")));
+        results
+    });
+    results
+        .into_iter()
+        .enumerate()
+        .filter_map(|(k, r)| r.err().map(|(chunk, e)| ((chunk, k), e)))
+        .min_by_key(|(at, _)| *at)
+        .map_or(Ok(()), |(_, e)| Err(e))
+}
+
+/// Spawns one of [`drive`]'s threads. Each flushes its thread-local
+/// observability buffers once, on exit, here.
+fn spawn_flushed<'scope, T: Send + 'scope>(
+    s: &'scope Scope<'scope, '_>,
+    f: impl FnOnce() -> T + Send + 'scope,
+) -> ScopedJoinHandle<'scope, T> {
+    s.spawn(move || {
+        let out = f();
+        obsv::flush();
+        out
+    })
 }
 
 /// Extra slab slots beyond the structural minimum (one per decode worker
@@ -232,14 +311,19 @@ struct Slot {
 struct FeedState {
     /// Next chunk index no decode worker has claimed.
     next_claim: usize,
+    /// One past the last chunk any consumer still needs: the chunk count,
+    /// lowered to just past the first failure. No later failure can be
+    /// the one [`drive`] reports, so nothing past it is decoded or taken.
+    end: usize,
+    /// Lowest-index decode failure `(chunk, kind, message)`, returned to
+    /// every consumer that reaches that chunk.
+    decode_error: Option<(usize, io::ErrorKind, String)>,
     /// Decoded chunks not yet consumed by every active consumer.
     ready: BTreeMap<usize, Slot>,
     /// Next chunk each consumer needs (`usize::MAX` = finished).
     consumer_pos: Vec<usize>,
     /// Consumers not yet finished.
     active: usize,
-    /// Sticky first decode failure; consumers convert it back to an error.
-    error: Option<(io::ErrorKind, String)>,
     /// Recycled event slabs awaiting reuse by a decode worker.
     free: Vec<Vec<Event>>,
     /// Slabs in flight, ready, or held by consumers — everything claimed
@@ -258,9 +342,10 @@ struct FeedState {
 /// consumers (they advanced past it) and recycled — hence at most
 /// `consumers` held slabs and `workers` in-flight slabs are outstanding,
 /// and `pool_cap > workers + consumers` leaves a slab free to claim `f`.
+/// Chunks stranded at or past a lowered `end` were claimed after every
+/// chunk below it, so they never hold back a chunk still needed.
 struct Feed<'a, F: ?Sized> {
     feed: &'a F,
-    n_chunks: usize,
     pool_cap: usize,
     state: Mutex<FeedState>,
     cond: Condvar,
@@ -270,14 +355,14 @@ impl<'a, F: ChunkFeed + ?Sized> Feed<'a, F> {
     fn new(feed: &'a F, consumers: usize, workers: usize) -> Self {
         Feed {
             feed,
-            n_chunks: feed.chunk_count(),
             pool_cap: workers + consumers + WINDOW_SLACK,
             state: Mutex::new(FeedState {
                 next_claim: 0,
+                end: feed.chunk_count(),
+                decode_error: None,
                 ready: BTreeMap::new(),
                 consumer_pos: vec![0; consumers],
                 active: consumers,
-                error: None,
                 free: Vec::new(),
                 outstanding: 0,
             }),
@@ -286,9 +371,9 @@ impl<'a, F: ChunkFeed + ?Sized> Feed<'a, F> {
     }
 
     /// Decode-worker loop: claim the next chunk and a recycled slab,
-    /// decode out-of-order, publish. Exits when chunks run out, every
-    /// consumer finished, or a decode failed. `worker` only labels this
-    /// loop's timeline lane.
+    /// decode out-of-order, publish. Exits when no consumer needs a later
+    /// chunk or every consumer finished. `worker` only labels this loop's
+    /// timeline lane.
     fn decode_loop(&self, worker: usize) {
         let tid = worker as u64 + 1;
         if tracefmt::recording() {
@@ -299,8 +384,7 @@ impl<'a, F: ChunkFeed + ?Sized> Feed<'a, F> {
             let (i, mut buf) = {
                 let mut st = self.state.lock().unwrap();
                 loop {
-                    if st.error.is_some() || st.next_claim >= self.n_chunks || st.active == 0 {
-                        obsv::flush();
+                    if st.next_claim >= st.end || st.active == 0 {
                         return;
                     }
                     if st.outstanding < self.pool_cap {
@@ -321,17 +405,20 @@ impl<'a, F: ChunkFeed + ?Sized> Feed<'a, F> {
             }
             let mut st = self.state.lock().unwrap();
             match res {
-                Ok(()) if st.active > 0 => {
+                Ok(()) if st.active > 0 && i < st.end => {
                     let remaining = st.active;
                     st.ready.insert(i, Slot { data: Arc::new(buf), remaining });
                 }
                 Ok(()) => {
-                    // Every consumer left while we decoded; recycle.
+                    // No consumer will take this chunk any more; recycle.
                     st.outstanding -= 1;
                     st.free.push(buf);
                 }
                 Err(e) => {
-                    st.error = Some((e.kind(), e.to_string()));
+                    if i < st.end {
+                        st.end = i + 1;
+                        st.decode_error = Some((i, e.kind(), e.to_string()));
+                    }
                     st.outstanding -= 1;
                 }
             }
@@ -344,14 +431,59 @@ impl<'a, F: ChunkFeed + ?Sized> Feed<'a, F> {
 /// Consumer-side operations need no decoding, so they stay available on
 /// cursors whose `Drop` cannot name the [`ChunkFeed`] bound.
 impl<F: ?Sized> Feed<'_, F> {
+    /// Sink-thread loop: pushes every chunk, in order, into `sink` as
+    /// consumer `me`. A failure comes back with the chunk it happened at.
+    fn consume(&self, me: usize, sink: &mut dyn ChunkSink) -> Result<(), (usize, io::Error)> {
+        // Sink lanes sit above the decode lanes (tid 100+) so Perfetto
+        // groups them visibly apart.
+        let tid = 100 + me as u64;
+        if tracefmt::recording() {
+            tracefmt::name_thread(ANALYZE_PID, tid, &format!("sink {me}"));
+        }
+        let mut cursor = Cursor::new(self, me);
+        loop {
+            let i = cursor.next_chunk;
+            let events = match cursor.next_chunk_ref() {
+                Ok(Some(events)) => events,
+                Ok(None) => return Ok(()),
+                Err(e) => return Err((i, e)),
+            };
+            let t0 = trace_now();
+            if let Err(e) = sink.push(events) {
+                self.stop_after(i);
+                return Err((i, e));
+            }
+            if tracefmt::recording() {
+                tracefmt::span(
+                    ANALYZE_PID,
+                    tid,
+                    "push",
+                    t0,
+                    trace_now() - t0,
+                    &[("chunk", i.to_string()), ("events", events.len().to_string())],
+                );
+            }
+        }
+    }
+
+    /// Records a sink failure at chunk `i`: consumers still need chunk `i`
+    /// (an earlier sink failing there wins the tie) but nothing after it.
+    fn stop_after(&self, i: usize) {
+        let mut st = self.state.lock().unwrap();
+        st.end = st.end.min(i + 1);
+        drop(st);
+        self.cond.notify_all();
+    }
+
     /// Blocks until chunk `i` is decoded and takes consumer `me`'s
-    /// reference to it. The last taker receives the slot's own `Arc`, so
-    /// the final [`release`](Feed::release) can reclaim the slab.
-    fn take(&self, me: usize, i: usize) -> io::Result<Arc<Vec<Event>>> {
+    /// reference to it, or returns `None` once no consumer needs chunk
+    /// `i`. The last taker receives the slot's own `Arc`, so the final
+    /// [`release`](Feed::release) can reclaim the slab.
+    fn take(&self, me: usize, i: usize) -> io::Result<Option<Arc<Vec<Event>>>> {
         let mut st = self.state.lock().unwrap();
         loop {
-            if let Some((kind, msg)) = &st.error {
-                return Err(io::Error::new(*kind, msg.clone()));
+            if i >= st.end {
+                return Ok(None);
             }
             if let Some(slot) = st.ready.get_mut(&i) {
                 slot.remaining -= 1;
@@ -363,7 +495,12 @@ impl<F: ?Sized> Feed<'_, F> {
                 st.consumer_pos[me] = i + 1;
                 drop(st);
                 self.cond.notify_all();
-                return Ok(data);
+                return Ok(Some(data));
+            }
+            if let Some((at, kind, msg)) = &st.decode_error {
+                if *at == i {
+                    return Err(io::Error::new(*kind, msg.clone()));
+                }
             }
             st = self.cond.wait(st).unwrap();
         }
@@ -422,12 +559,11 @@ struct Cursor<'a, 'f, F: ?Sized> {
     me: usize,
     next_chunk: usize,
     cur: Option<Arc<Vec<Event>>>,
-    idx: usize,
 }
 
 impl<'a, 'f, F: ?Sized> Cursor<'a, 'f, F> {
     fn new(fd: &'a Feed<'f, F>, me: usize) -> Self {
-        Cursor { fd, me, next_chunk: 0, cur: None, idx: 0 }
+        Cursor { fd, me, next_chunk: 0, cur: None }
     }
 
     /// Returns the held chunk (if any) to the slab pool.
@@ -437,58 +573,16 @@ impl<'a, 'f, F: ?Sized> Cursor<'a, 'f, F> {
         }
     }
 
-    /// Releases the held chunk and pulls the next one as a borrowed slice,
-    /// or `None` at end of stream.
+    /// Releases the held chunk and takes the next one as a borrowed slice,
+    /// or `None` past the last chunk any consumer needs.
     fn next_chunk_ref(&mut self) -> io::Result<Option<&[Event]>> {
         self.release_cur();
-        if self.next_chunk >= self.fd.n_chunks {
+        let Some(data) = self.fd.take(self.me, self.next_chunk)? else {
             self.fd.finish(self.me);
             return Ok(None);
-        }
-        let data = self.fd.take(self.me, self.next_chunk)?;
+        };
         self.next_chunk += 1;
-        self.idx = 0;
         Ok(Some(self.cur.insert(data).as_slice()))
-    }
-}
-
-impl<F: ChunkFeed + ?Sized> EventSource for Cursor<'_, '_, F> {
-    fn thread_count(&self) -> u32 {
-        self.fd.feed.thread_count()
-    }
-
-    fn next_event(&mut self) -> io::Result<Option<Event>> {
-        loop {
-            if let Some(cur) = &self.cur {
-                if self.idx < cur.len() {
-                    let e = cur[self.idx];
-                    self.idx += 1;
-                    return Ok(Some(e));
-                }
-            }
-            if self.next_chunk_ref()?.is_none() {
-                return Ok(None);
-            }
-        }
-    }
-
-    fn fill_slab(&mut self, out: &mut Vec<Event>, max: usize) -> io::Result<usize> {
-        let mut n = 0;
-        while n < max {
-            if let Some(cur) = &self.cur {
-                if self.idx < cur.len() {
-                    let take = (cur.len() - self.idx).min(max - n);
-                    out.extend_from_slice(&cur[self.idx..self.idx + take]);
-                    self.idx += take;
-                    n += take;
-                    continue;
-                }
-            }
-            if self.next_chunk_ref()?.is_none() {
-                break;
-            }
-        }
-        Ok(n)
     }
 }
 
@@ -499,388 +593,15 @@ impl<F: ?Sized> Drop for Cursor<'_, '_, F> {
     }
 }
 
-/// Runs `consume` against the feed's reassembled sequential event stream,
-/// decoding chunks on up to `workers` threads ahead of the consumer.
-///
-/// The stream handed to `consume` is *exactly* the sequential one — same
-/// events, same order, for any `workers` — so any single-pass analysis
-/// (the DAG builder, the buffer simulator) parallelizes its decode without
-/// changing its own logic. With one worker or one chunk no threads are
-/// spawned.
-pub fn with_source<F, R>(
-    feed: &F,
-    workers: usize,
-    consume: impl FnOnce(&mut dyn EventSource) -> R,
-) -> R
-where
-    F: ChunkFeed + ?Sized,
-{
-    let n_chunks = feed.chunk_count();
-    if workers <= 1 || n_chunks <= 1 {
-        return consume(&mut SeqSource::new(feed));
-    }
-    let fd = Feed::new(feed, 1, workers);
-    std::thread::scope(|s| {
-        for w in 0..workers.min(n_chunks) {
-            let fd = &fd;
-            s.spawn(move || fd.decode_loop(w));
-        }
-        let mut cursor = Cursor::new(&fd, 0);
-        consume(&mut cursor)
-    })
-}
-
-/// Per-chunk partial [`TraceProfile`]: everything a chunk contributes,
-/// with the epoch structure split into an order-preserving close list and
-/// a per-thread open frontier so chunks stitch exactly.
-struct ChunkProfile {
-    /// All scalar counters (epoch_sizes left empty).
-    counts: TraceProfile,
-    /// Barrier/sync closes in chunk event order: `(thread, persists since
-    /// that thread's previous close inside this chunk)`.
-    closes: Vec<(u32, u64)>,
-    /// Per-thread persists after the thread's last close in this chunk
-    /// (all of its persists, if it closed nothing here).
-    open_tail: Vec<u64>,
-}
-
-impl ChunkProfile {
-    fn of_events(events: &[Event], nthreads: u32) -> io::Result<Self> {
-        let mut p = TraceProfile::default();
-        let mut closes = Vec::new();
-        let mut open = vec![0u64; nthreads as usize];
-        for e in events {
-            p.events += 1;
-            let t = e.thread.index();
-            if t >= open.len() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "event names a thread outside the trace's thread count",
-                ));
-            }
-            match e.op {
-                Op::Load { .. } => p.loads += 1,
-                Op::Store { .. } => p.stores += 1,
-                Op::Rmw { .. } => {
-                    p.rmws += 1;
-                    p.loads += 1;
-                    p.stores += 1;
-                }
-                Op::PersistBarrier => {
-                    p.persist_barriers += 1;
-                    closes.push((t as u32, open[t]));
-                    open[t] = 0;
-                }
-                Op::MemBarrier => p.mem_barriers += 1,
-                Op::NewStrand => p.strands += 1,
-                Op::PersistSync => {
-                    p.syncs += 1;
-                    closes.push((t as u32, open[t]));
-                    open[t] = 0;
-                }
-                Op::WorkEnd { .. } => p.work_items += 1,
-                Op::PAlloc { .. } | Op::PFree { .. } | Op::WorkBegin { .. } => {}
-            }
-            if e.op.is_persist() {
-                p.persists += 1;
-                open[t] += 1;
-            }
-        }
-        Ok(ChunkProfile { counts: p, closes, open_tail: open })
-    }
-}
-
-/// Folds [`ChunkProfile`]s, in chunk order, into the exact sequential
-/// [`TraceProfile`].
-///
-/// `carry[t]` is thread `t`'s open-epoch frontier entering the next chunk.
-/// A chunk's first close for a thread absorbs the carry (the epoch began
-/// in an earlier chunk); later closes are fully chunk-local, and the
-/// chunk's `open_tail` refills the carry. Because closes are replayed in
-/// chunk event order and chunks in index order, the `epoch_sizes` vector
-/// comes out element-for-element identical to the one-pass profile —
-/// including the final trailing epochs, closed in thread-id order.
-struct ProfileStitcher {
-    p: TraceProfile,
-    carry: Vec<u64>,
-}
-
-impl ProfileStitcher {
-    fn new(nthreads: u32) -> Self {
-        ProfileStitcher { p: TraceProfile::default(), carry: vec![0; nthreads as usize] }
-    }
-
-    fn push(&mut self, c: &ChunkProfile) {
-        self.p.events += c.counts.events;
-        self.p.loads += c.counts.loads;
-        self.p.stores += c.counts.stores;
-        self.p.rmws += c.counts.rmws;
-        self.p.persists += c.counts.persists;
-        self.p.persist_barriers += c.counts.persist_barriers;
-        self.p.mem_barriers += c.counts.mem_barriers;
-        self.p.strands += c.counts.strands;
-        self.p.syncs += c.counts.syncs;
-        self.p.work_items += c.counts.work_items;
-        for &(t, n) in &c.closes {
-            // First close of `t` in this chunk absorbs the carried-in
-            // frontier; carry is zero for the rest.
-            let size = self.carry[t as usize] + n;
-            self.carry[t as usize] = 0;
-            self.p.epoch_sizes.push(size);
-        }
-        for (carry, tail) in self.carry.iter_mut().zip(&c.open_tail) {
-            *carry += tail;
-        }
-    }
-
-    fn finish(mut self) -> TraceProfile {
-        for open in self.carry {
-            if open > 0 {
-                self.p.epoch_sizes.push(open);
-            }
-        }
-        self.p
-    }
-}
-
-/// Profiles the feed with chunks decoded *and profiled* in parallel,
-/// producing exactly [`TraceProfile::of_source`]'s sequential answer
-/// (same `epoch_sizes`, same order) for any worker count.
-///
-/// # Errors
-///
-/// Propagates decode errors and the sequential profiler's
-/// thread-out-of-range `InvalidData`.
-pub fn profile_chunked<F>(feed: &F, workers: usize) -> io::Result<TraceProfile>
-where
-    F: ChunkFeed + ?Sized,
-{
-    let n_chunks = feed.chunk_count();
-    let nthreads = feed.thread_count();
-    if workers <= 1 || n_chunks <= 1 {
-        return TraceProfile::of_source(SeqSource::new(feed));
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let parts: Mutex<Vec<Option<ChunkProfile>>> =
-        Mutex::new((0..n_chunks).map(|_| None).collect());
-    let first_err: Mutex<Option<io::Error>> = Mutex::new(None);
-    std::thread::scope(|s| {
-        for w in 0..workers.min(n_chunks) {
-            let (next, parts, first_err) = (&next, &parts, &first_err);
-            s.spawn(move || {
-                let tid = 200 + w as u64;
-                if tracefmt::recording() {
-                    tracefmt::name_process(ANALYZE_PID, "analyze");
-                    tracefmt::name_thread(ANALYZE_PID, tid, &format!("profile {w}"));
-                }
-                let mut buf = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= n_chunks || first_err.lock().unwrap().is_some() {
-                        obsv::flush();
-                        return;
-                    }
-                    buf.clear();
-                    let t0 = trace_now();
-                    let part = feed
-                        .decode_chunk(i, &mut buf)
-                        .and_then(|()| ChunkProfile::of_events(&buf, nthreads));
-                    match part {
-                        Ok(p) => {
-                            trace_chunk(tid, "profile-chunk", t0, trace_now(), i, buf.len());
-                            parts.lock().unwrap()[i] = Some(p)
-                        }
-                        Err(e) => {
-                            let mut fe = first_err.lock().unwrap();
-                            if fe.is_none() {
-                                *fe = Some(e);
-                            }
-                            obsv::flush();
-                            return;
-                        }
-                    }
-                }
-            });
-        }
-    });
-    if let Some(e) = first_err.into_inner().unwrap() {
-        return Err(e);
-    }
-    let mut stitcher = ProfileStitcher::new(nthreads);
-    for part in parts.into_inner().unwrap() {
-        stitcher.push(&part.expect("no error, so every chunk profiled"));
-    }
-    Ok(stitcher.finish())
-}
-
-/// One shared-decode parallel pass producing the trace profile and one
-/// [`TimingReport`] per config — everything `psim analyze` computes.
-///
-/// Chunks are decoded once by up to `workers` threads; each config's
-/// engine pass and the profile stitcher consume them concurrently from a
-/// bounded in-order window. Results are bit-identical to running
-/// [`TraceProfile::of_source`] and [`crate::timing::analyze_source`]
-/// sequentially, for any `workers`.
-///
-/// # Errors
-///
-/// Propagates decode/analysis errors (first error wins).
-pub fn analyze_full<F>(
-    feed: &F,
-    configs: &[AnalysisConfig],
-    workers: usize,
-) -> io::Result<(TraceProfile, Vec<TimingReport>)>
-where
-    F: ChunkFeed + ?Sized,
-{
-    let n_chunks = feed.chunk_count();
-    let nthreads = feed.thread_count();
-    if workers <= 1 || n_chunks <= 1 {
-        // Shared-decode sequential pass: each chunk is decoded *once* and
-        // pushed through the profile stitcher and every config's
-        // incremental engine run, instead of re-decoding the trace once
-        // per consumer.
-        let mut analyzers: Vec<Analyzer> = configs.iter().map(|_| Analyzer::new()).collect();
-        let mut runs: Vec<_> = analyzers
-            .iter_mut()
-            .zip(configs)
-            .map(|(a, config)| a.begin(config, nthreads))
-            .collect();
-        let mut stitcher = ProfileStitcher::new(nthreads);
-        let mut buf = Vec::new();
-        if tracefmt::recording() {
-            tracefmt::name_process(ANALYZE_PID, "analyze");
-            tracefmt::name_thread(ANALYZE_PID, 0, "sequential");
-        }
-        for i in 0..n_chunks {
-            buf.clear();
-            let t0 = trace_now();
-            feed.decode_chunk(i, &mut buf)?;
-            stitcher.push(&ChunkProfile::of_events(&buf, nthreads)?);
-            for run in &mut runs {
-                run.push_events(&buf)?;
-            }
-            // One span per chunk covering decode + profile + every
-            // engine pass (the shared-decode path has no separate lanes).
-            trace_chunk(0, "chunk", t0, trace_now(), i, buf.len());
-        }
-        let reports = runs.into_iter().map(|run| run.finish()).collect();
-        return Ok((stitcher.finish(), reports));
-    }
-    let fd = Feed::new(feed, configs.len() + 1, workers);
-    std::thread::scope(|s| {
-        for w in 0..workers.min(n_chunks) {
-            let fd = &fd;
-            s.spawn(move || fd.decode_loop(w));
-        }
-        let model_handles: Vec<_> = configs
-            .iter()
-            .enumerate()
-            .map(|(k, config)| {
-                let fd = &fd;
-                s.spawn(move || {
-                    // Analyze lanes sit above the decode lanes (tid 100+)
-                    // so Perfetto groups them visibly apart.
-                    let tid = 100 + k as u64;
-                    if tracefmt::recording() {
-                        tracefmt::name_thread(
-                            ANALYZE_PID,
-                            tid,
-                            &format!("analyze {}", config.model.name()),
-                        );
-                    }
-                    let mut analyzer = Analyzer::new();
-                    let mut run = analyzer.begin(config, nthreads);
-                    let mut cursor = Cursor::new(fd, k + 1);
-                    let mut chunk = 0usize;
-                    let res = loop {
-                        match cursor.next_chunk_ref() {
-                            Ok(Some(events)) => {
-                                let t0 = trace_now();
-                                if let Err(e) = run.push_events(events) {
-                                    break Err(e);
-                                }
-                                if tracefmt::recording() {
-                                    tracefmt::span(
-                                        ANALYZE_PID,
-                                        tid,
-                                        "analyze",
-                                        t0,
-                                        trace_now() - t0,
-                                        &[
-                                            ("chunk", chunk.to_string()),
-                                            ("events", events.len().to_string()),
-                                        ],
-                                    );
-                                }
-                                chunk += 1;
-                            }
-                            Ok(None) => break Ok(run.finish()),
-                            Err(e) => break Err(e),
-                        }
-                    };
-                    obsv::flush();
-                    res
-                })
-            })
-            .collect();
-        // The profile consumer runs here: per-chunk partials + stitch, the
-        // same math as `profile_chunked`, fed from the shared pool.
-        let profile = {
-            let stitch_tid = 99u64;
-            if tracefmt::recording() {
-                tracefmt::name_thread(ANALYZE_PID, stitch_tid, "profile stitch");
-            }
-            let mut cursor = Cursor::new(&fd, 0);
-            let mut stitcher = ProfileStitcher::new(nthreads);
-            let mut chunk = 0usize;
-            loop {
-                match cursor.next_chunk_ref() {
-                    Ok(Some(events)) => match ChunkProfile::of_events(events, nthreads) {
-                        Ok(part) => {
-                            let t0 = trace_now();
-                            stitcher.push(&part);
-                            if tracefmt::recording() {
-                                tracefmt::span(
-                                    ANALYZE_PID,
-                                    stitch_tid,
-                                    "stitch",
-                                    t0,
-                                    trace_now() - t0,
-                                    &[("chunk", chunk.to_string())],
-                                );
-                            }
-                            chunk += 1;
-                        }
-                        Err(e) => break Err(e),
-                    },
-                    Ok(None) => break Ok(stitcher.finish()),
-                    Err(e) => break Err(e),
-                }
-            }
-        };
-        let mut reports = Vec::with_capacity(configs.len());
-        let mut first_err: Option<io::Error> = None;
-        for h in model_handles {
-            match h.join().expect("model analysis thread panicked") {
-                Ok(r) => reports.push(r),
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        Ok((profile?, reports))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Model;
     use mem_trace::{FreeRunScheduler, TracedMem};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    const WORKERS: [usize; 3] = [1, 2, 8];
 
     fn capture(threads: u32) -> Trace {
         let mem = TracedMem::new(FreeRunScheduler);
@@ -900,28 +621,93 @@ mod tests {
         })
     }
 
+    /// Records every event pushed into it.
+    #[derive(Default)]
+    struct Collect(Vec<Event>);
+
+    impl ChunkSink for Collect {
+        fn push(&mut self, events: &[Event]) -> io::Result<()> {
+            self.0.extend_from_slice(events);
+            Ok(())
+        }
+    }
+
+    /// Fails on its push of chunk `at`, naming itself in the error.
+    struct FailAt {
+        name: &'static str,
+        at: usize,
+        seen: usize,
+    }
+
+    impl ChunkSink for FailAt {
+        fn push(&mut self, _: &[Event]) -> io::Result<()> {
+            if self.seen == self.at {
+                return Err(io::Error::other(format!("{} failed at chunk {}", self.name, self.at)));
+            }
+            self.seen += 1;
+            Ok(())
+        }
+    }
+
+    /// [`TraceChunks`] whose chunk `bad` fails to decode.
+    struct FailingFeed<'a> {
+        inner: TraceChunks<'a>,
+        bad: usize,
+    }
+
+    impl ChunkFeed for FailingFeed<'_> {
+        fn thread_count(&self) -> u32 {
+            self.inner.thread_count()
+        }
+
+        fn chunk_count(&self) -> usize {
+            self.inner.chunk_count()
+        }
+
+        fn decode_chunk(&self, i: usize, out: &mut Vec<Event>) -> io::Result<()> {
+            if i == self.bad {
+                return Err(io::Error::new(io::ErrorKind::InvalidData, format!("chunk {i} is corrupt")));
+            }
+            self.inner.decode_chunk(i, out)
+        }
+    }
+
+    /// Runs `f` on a helper thread, so a driver that deadlocks fails the
+    /// test instead of hanging it.
+    fn within_deadline<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(Duration::from_secs(60)).expect("drive hung or panicked")
+    }
+
     #[test]
     fn chunked_profile_matches_sequential_any_chunking() {
         let t = capture(3);
         let reference = TraceProfile::of(&t);
         for chunk in [1usize, 3, 7, 64, 10_000] {
-            for workers in [1usize, 2, 8] {
+            for workers in WORKERS {
                 let feed = TraceChunks::new(&t, chunk);
-                let got = profile_chunked(&feed, workers).unwrap();
+                let (got, _) = analyze_full(&feed, &[], workers).unwrap();
                 assert_eq!(got, reference, "chunk={chunk} workers={workers}");
             }
         }
     }
 
     #[test]
-    fn with_source_reassembles_exact_stream() {
+    fn drive_reassembles_exact_stream() {
         let t = capture(2);
         for chunk in [1usize, 5, 1000] {
             let feed = TraceChunks::new(&t, chunk);
-            for workers in [1usize, 2, 8] {
-                let collected =
-                    with_source(&feed, workers, |src| mem_trace::collect_trace(src).unwrap());
-                assert_eq!(collected, t, "chunk={chunk} workers={workers}");
+            for workers in WORKERS {
+                let mut collected: Vec<Collect> = (0..3).map(|_| Collect::default()).collect();
+                let mut sinks: Vec<Sink<'_>> =
+                    collected.iter_mut().map(|c| c as Sink<'_>).collect();
+                drive(&feed, workers, &mut sinks).unwrap();
+                for c in &collected {
+                    assert_eq!(c.0, t.events(), "chunk={chunk} workers={workers}");
+                }
             }
         }
     }
@@ -934,7 +720,7 @@ mod tests {
         let ref_profile = TraceProfile::of(&t);
         let ref_reports: Vec<TimingReport> =
             configs.iter().map(|c| crate::timing::analyze(&t, c)).collect();
-        for workers in [1usize, 2, 8] {
+        for workers in WORKERS {
             let feed = TraceChunks::new(&t, 9);
             let (profile, reports) = analyze_full(&feed, &configs, workers).unwrap();
             assert_eq!(profile, ref_profile, "workers={workers}");
@@ -943,15 +729,81 @@ mod tests {
     }
 
     #[test]
+    fn decode_failure_is_returned_for_any_sink_and_worker_count() {
+        for n_sinks in [1usize, 6] {
+            for workers in WORKERS {
+                let err = within_deadline(move || {
+                    let t = capture(2);
+                    let feed = FailingFeed { inner: TraceChunks::new(&t, 7), bad: 4 };
+                    let mut collected: Vec<Collect> =
+                        (0..n_sinks).map(|_| Collect::default()).collect();
+                    let mut sinks: Vec<Sink<'_>> =
+                        collected.iter_mut().map(|c| c as Sink<'_>).collect();
+                    drive(&feed, workers, &mut sinks).unwrap_err().to_string()
+                });
+                assert_eq!(err, "chunk 4 is corrupt", "sinks={n_sinks} workers={workers}");
+            }
+        }
+    }
+
+    #[test]
+    fn early_sink_failure_leaves_no_thread_blocked() {
+        // One sink fails at chunk 1 while five others would read all ~100
+        // chunks: the driver must still return, through a pool far smaller
+        // than the trace.
+        for position in [0usize, 3, 5] {
+            for workers in WORKERS {
+                let err = within_deadline(move || {
+                    let t = capture(2);
+                    let feed = TraceChunks::new(&t, 3);
+                    let mut failing = FailAt { name: "sink", at: 1, seen: 0 };
+                    let mut collected: Vec<Collect> = (0..5).map(|_| Collect::default()).collect();
+                    let mut sinks: Vec<Sink<'_>> =
+                        collected.iter_mut().map(|c| c as Sink<'_>).collect();
+                    sinks.insert(position, &mut failing);
+                    drive(&feed, workers, &mut sinks).unwrap_err().to_string()
+                });
+                assert_eq!(err, "sink failed at chunk 1", "position={position} workers={workers}");
+            }
+        }
+    }
+
+    #[test]
+    fn failures_resolve_by_chunk_then_sink() {
+        let t = capture(2);
+        // (early's chunk, late-index's chunk, corrupt chunk, winner): the
+        // lowest chunk wins, then the lower sink index; decode failures
+        // rank by their chunk like sink failures.
+        let cases: [(usize, usize, usize, &str); 4] = [
+            (3, 1, 9, "late-index"),
+            (2, 2, 9, "early"),
+            (2, 2, 1, "chunk 1 is corrupt"),
+            (1, 5, 4, "early"),
+        ];
+        for (early_at, late_at, bad, want) in cases {
+            for workers in WORKERS {
+                let feed = FailingFeed { inner: TraceChunks::new(&t, 3), bad };
+                let mut early = FailAt { name: "early", at: early_at, seen: 0 };
+                let mut late = FailAt { name: "late-index", at: late_at, seen: 0 };
+                let mut ok = Collect::default();
+                let mut sinks: [Sink<'_>; 3] = [&mut ok, &mut early, &mut late];
+                let err = drive(&feed, workers, &mut sinks).unwrap_err().to_string();
+                assert!(err.starts_with(want), "{want} vs {err}: workers={workers}");
+            }
+        }
+    }
+
+    #[test]
     fn empty_feed_yields_empty_results() {
         let t = Trace::from_events(2, vec![]);
         let feed = TraceChunks::new(&t, 8);
         assert_eq!(feed.chunk_count(), 0);
-        assert_eq!(profile_chunked(&feed, 4).unwrap(), TraceProfile::default());
         let (profile, reports) =
             analyze_full(&feed, &[AnalysisConfig::new(Model::Epoch)], 4).unwrap();
         assert_eq!(profile, TraceProfile::default());
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].critical_path, 0);
+        let dag = build_dag(&feed, &AnalysisConfig::new(Model::Epoch), 4).unwrap();
+        assert!(dag.is_empty());
     }
 }

@@ -23,7 +23,7 @@ use std::io;
 /// Scalar level domain: a dependence is summarized by the maximum level of
 /// any persist that must happen before.
 #[derive(Debug, Default)]
-struct LevelDomain {
+pub(crate) struct LevelDomain {
     max_level: u64,
     nodes: u64,
 }
@@ -168,91 +168,39 @@ impl Analyzer {
     /// Propagates the source's decode/I/O errors.
     pub fn analyze_source<E: EventSource>(
         &mut self,
-        source: E,
+        mut source: E,
         config: &AnalysisConfig,
     ) -> io::Result<TimingReport> {
-        let mut dom = LevelDomain::default();
         let _span = obsv::span("timing.analyze");
-        let stats = engine::run_with_source(source, config, &mut dom, &mut self.scratch)?;
-        if obsv::enabled() {
-            obsv::counter_add("timing.analyses", 1);
-            obsv::observe("timing.critical_path", dom.max_level);
-        }
-        Ok(TimingReport {
-            config: *config,
-            critical_path: dom.max_level,
-            persist_nodes: dom.nodes,
-            stats,
-        })
+        let mut run = self.begin(config, source.thread_count());
+        mem_trace::for_each_slab(&mut source, |slab| run.push_events(slab))?;
+        Ok(run.report())
     }
 
-    /// Begins an incremental analysis: the caller pushes decoded event
-    /// blocks through [`TimingRun::push_events`] in stream order and
-    /// [`TimingRun::finish`]es for the report. Equivalent to
+    /// Begins an incremental analysis: the caller pushes event blocks
+    /// through [`engine::Run::push_events`] in stream order and takes the
+    /// [`report`](TimingRun::report). Equivalent to
     /// [`analyze_source`](Analyzer::analyze_source) over the concatenated
-    /// blocks — this is how the chunked-parallel pipeline feeds each model
-    /// engine without a per-consumer decode pass.
+    /// blocks.
     pub(crate) fn begin(&mut self, config: &AnalysisConfig, nthreads: u32) -> TimingRun<'_> {
-        let dom = LevelDomain::default();
-        self.scratch.reset(&dom, nthreads as usize);
-        TimingRun {
-            config: *config,
-            nthreads: nthreads as usize,
-            dom,
-            scratch: &mut self.scratch,
-            state: engine::RunState::default(),
-        }
+        engine::Run::begin(config, nthreads, LevelDomain::default(), &mut self.scratch)
     }
 }
 
 /// An in-progress incremental critical-path analysis (see
 /// [`Analyzer::begin`]).
-pub(crate) struct TimingRun<'s> {
-    config: AnalysisConfig,
-    nthreads: usize,
-    dom: LevelDomain,
-    scratch: &'s mut engine::Scratch<LevelDomain>,
-    state: engine::RunState,
-}
+pub(crate) type TimingRun<'s> = engine::Run<'s, LevelDomain>;
 
 impl TimingRun<'_> {
-    /// Propagates one block of events (in stream order).
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` if an event names a thread outside the run's
-    /// thread count.
-    pub(crate) fn push_events(&mut self, events: &[mem_trace::Event]) -> io::Result<()> {
-        engine::push_events(
-            &self.config,
-            self.nthreads,
-            &mut self.dom,
-            self.scratch,
-            &mut self.state,
-            events,
-        )
-    }
-
-    /// Completes the run, emitting the same observability counters as
-    /// [`Analyzer::analyze_source`].
-    pub(crate) fn finish(self) -> TimingReport {
-        self.state.finish_obsv();
+    /// Completes the run.
+    pub(crate) fn report(self) -> TimingReport {
+        let config = self.config;
+        let (dom, stats) = self.finish();
         if obsv::enabled() {
             obsv::counter_add("timing.analyses", 1);
-            obsv::observe("timing.critical_path", self.dom.max_level);
+            obsv::observe("timing.critical_path", dom.max_level);
         }
-        TimingReport {
-            config: self.config,
-            critical_path: self.dom.max_level,
-            persist_nodes: self.dom.nodes,
-            stats: self.state.stats,
-        }
-    }
-}
-
-impl std::fmt::Debug for TimingRun<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TimingRun").finish_non_exhaustive()
+        TimingReport { config, critical_path: dom.max_level, persist_nodes: dom.nodes, stats }
     }
 }
 

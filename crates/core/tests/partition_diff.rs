@@ -8,15 +8,17 @@
 //! under every persistency model at 1, 2 and 8 workers. Covered engines:
 //! the timing (critical-path) engine, the trace profiler, and the exact
 //! persist DAG fed through the decode-parallel stream. Zero-barrier
-//! traces exercise the single-chunk / no-epoch degenerate paths.
+//! traces exercise the single-chunk / no-epoch degenerate paths, and bad
+//! inputs must fail with the same error at every worker count.
 
 use mem_trace::mmapio::MappedTrace;
 use mem_trace::profile::TraceProfile;
 use mem_trace::rng::SmallRng;
-use mem_trace::{io as trace_io, SeededScheduler, Trace, TracedMem};
+use mem_trace::{io as trace_io, Event, Op, SeededScheduler, ThreadId, Trace, TracedMem};
 use persist_mem::MemAddr;
 use persistency::dag::PersistDag;
-use persistency::partition::{self, TraceChunks};
+use persistency::partition::{self, ChunkFeed, TraceChunks};
+use std::io;
 use persistency::{timing, AnalysisConfig, Model};
 
 const WORKERS: [usize; 3] = [1, 2, 8];
@@ -123,10 +125,7 @@ fn chunked_dag_matches_sequential_all_models() {
             let cfg = AnalysisConfig::new(model);
             let reference = PersistDag::build(&t, &cfg).unwrap();
             for workers in WORKERS {
-                let dag = partition::with_source(&map, workers, |src| {
-                    PersistDag::build_source(src, &cfg)
-                })
-                .unwrap();
+                let dag = partition::build_dag(&map, &cfg, workers).unwrap();
                 assert_dag_eq(&reference, &dag, &format!("seed {seed} {model} w{workers}"));
             }
         }
@@ -136,8 +135,8 @@ fn chunked_dag_matches_sequential_all_models() {
 #[test]
 fn zero_barrier_traces_take_single_epoch_paths() {
     // No persist barriers at all: the whole trace is one open epoch, the
-    // profiler's stitcher sees only trailing frontiers, and every model
-    // still agrees with its sequential self.
+    // profile closes only trailing epochs, and every model still agrees
+    // with its sequential self.
     for seed in 0..4u64 {
         let t = random_trace(seed, false);
         assert_eq!(TraceProfile::of(&t).persist_barriers, 0);
@@ -159,9 +158,7 @@ fn zero_barrier_traces_take_single_epoch_paths() {
         for model in Model::ALL {
             let cfg = AnalysisConfig::new(model);
             let reference = PersistDag::build(&t, &cfg).unwrap();
-            let dag =
-                partition::with_source(&map, 8, |src| PersistDag::build_source(src, &cfg))
-                    .unwrap();
+            let dag = partition::build_dag(&map, &cfg, 8).unwrap();
             assert_dag_eq(&reference, &dag, &format!("seed {seed} {model} zero-barrier"));
         }
     }
@@ -181,4 +178,62 @@ fn unindexed_image_still_analyzes_identically() {
     let (profile, reports) = partition::analyze_full(&map, &configs, 8).unwrap();
     assert_eq!(profile, TraceProfile::of(&t));
     assert_eq!(reports[0], timing::analyze(&t, &configs[0]));
+}
+
+/// A one-thread trace of `n` persists whose events from index `good` on
+/// name thread 2. MPTRACE2 decode checks thread ids only against
+/// `MAX_THREADS`, so a crafted file reaches the analyses like this.
+fn bad_thread_trace(n: usize, good: usize) -> Trace {
+    let events = (0..n)
+        .map(|i| Event {
+            thread: ThreadId(if i < good { 0 } else { 2 }),
+            po: i as u32,
+            op: Op::Store { addr: MemAddr::persistent(64 * i as u64), len: 8, value: i as u64 },
+        })
+        .collect();
+    Trace::from_events(1, events)
+}
+
+/// [`TraceChunks`] whose chunk `bad` fails to decode.
+struct FailingChunks<'a> {
+    inner: TraceChunks<'a>,
+    bad: usize,
+}
+
+impl ChunkFeed for FailingChunks<'_> {
+    fn thread_count(&self) -> u32 {
+        self.inner.thread_count()
+    }
+
+    fn chunk_count(&self) -> usize {
+        self.inner.chunk_count()
+    }
+
+    fn decode_chunk(&self, i: usize, out: &mut Vec<Event>) -> io::Result<()> {
+        if i == self.bad {
+            return Err(io::Error::new(io::ErrorKind::InvalidData, format!("chunk {i} is corrupt")));
+        }
+        self.inner.decode_chunk(i, out)
+    }
+}
+
+#[test]
+fn analysis_errors_do_not_depend_on_worker_count() {
+    // Every event of a bad chunk fails the profile and all five engines
+    // alike; the profile is the first sink, so its error is the one a
+    // sequential pass meets and the one every worker count must return.
+    let profile_error = "event names a thread outside the trace's thread count";
+    let configs: Vec<AnalysisConfig> =
+        Model::ALL.iter().map(|&m| AnalysisConfig::new(m)).collect();
+    let all_bad = bad_thread_trace(10, 0);
+    // Chunk 1 names thread 2; chunk 4 cannot be decoded at all.
+    let bad_from_chunk_1 = bad_thread_trace(20, 3);
+    for workers in WORKERS {
+        let err = partition::analyze_full(&TraceChunks::new(&all_bad, 3), &configs, workers)
+            .unwrap_err();
+        assert_eq!(err.to_string(), profile_error, "bad threads, workers {workers}");
+        let feed = FailingChunks { inner: TraceChunks::new(&bad_from_chunk_1, 3), bad: 4 };
+        let err = partition::analyze_full(&feed, &configs, workers).unwrap_err();
+        assert_eq!(err.to_string(), profile_error, "decode failure after, workers {workers}");
+    }
 }

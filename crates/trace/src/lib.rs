@@ -68,5 +68,5 @@ pub use builder::TraceBuilder;
 pub use event::{Event, Op, PackedEvent, ThreadId};
 pub use mem::{CaptureStats, ThreadCtx, TracedMem};
 pub use sched::{FreeRunScheduler, Scheduler, SeededScheduler};
-pub use source::{collect_trace, EventSource, TraceSource, SLAB_EVENTS};
+pub use source::{collect_trace, for_each_slab, EventSource, TraceSource, SLAB_EVENTS};
 pub use trace::{ScViolation, Trace};

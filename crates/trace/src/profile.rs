@@ -51,29 +51,63 @@ impl TraceProfile {
     /// `InvalidData` if an event names a thread outside
     /// `source.thread_count()`.
     pub fn of_source<E: EventSource>(mut source: E) -> io::Result<Self> {
-        let mut p = TraceProfile::default();
-        let mut open_epoch = vec![0u64; source.thread_count() as usize];
-        let mut slab = Vec::new();
-        loop {
-            slab.clear();
-            if source.fill_slab(&mut slab, crate::SLAB_EVENTS)? == 0 {
-                break;
-            }
-            p.scan_block(&slab, &mut open_epoch)?;
-        }
-        // Close trailing epochs.
-        for open in open_epoch {
-            if open > 0 {
-                p.epoch_sizes.push(open);
-            }
-        }
-        Ok(p)
+        let mut run = Self::begin(source.thread_count());
+        crate::for_each_slab(&mut source, |slab| run.push(slab))?;
+        Ok(run.finish())
     }
 
-    /// Accumulates one decoded block into the profile — the monomorphized
-    /// inner loop of [`of_source`](TraceProfile::of_source).
-    fn scan_block(&mut self, events: &[crate::Event], open_epoch: &mut [u64]) -> io::Result<()> {
-        let p = self;
+    /// Begins an incremental profile: push event blocks in stream order
+    /// through [`ProfileRun::push`], then [`ProfileRun::finish`]. However
+    /// the stream is cut into blocks, the result equals
+    /// [`of_source`](TraceProfile::of_source) over the whole stream.
+    pub fn begin(nthreads: u32) -> ProfileRun {
+        ProfileRun { p: TraceProfile::default(), open_epoch: vec![0; nthreads as usize] }
+    }
+
+    /// Fraction of data accesses that are persists.
+    pub fn persist_density(&self) -> f64 {
+        let accesses = self.loads + self.stores;
+        if accesses == 0 {
+            0.0
+        } else {
+            self.persists as f64 / accesses as f64
+        }
+    }
+
+    /// Mean persists per persist epoch (including empty epochs) — the
+    /// intra-thread concurrency epoch persistency can expose.
+    pub fn mean_epoch_size(&self) -> f64 {
+        if self.epoch_sizes.is_empty() {
+            0.0
+        } else {
+            self.epoch_sizes.iter().sum::<u64>() as f64 / self.epoch_sizes.len() as f64
+        }
+    }
+
+    /// Largest persist epoch.
+    pub fn max_epoch_size(&self) -> u64 {
+        self.epoch_sizes.iter().copied().max().unwrap_or(0)
+    }
+}
+
+/// An in-progress incremental profile (see [`TraceProfile::begin`]).
+#[derive(Debug, Clone)]
+pub struct ProfileRun {
+    p: TraceProfile,
+    /// Persists in each thread's still-open epoch.
+    open_epoch: Vec<u64>,
+}
+
+impl ProfileRun {
+    /// Accumulates one block of events, in stream order.
+    ///
+    /// # Errors
+    ///
+    /// Returns `InvalidData` if an event names a thread outside the run's
+    /// thread count.
+    pub fn push(&mut self, events: &[crate::Event]) -> io::Result<()> {
+        let ProfileRun { p, open_epoch } = self;
+        let open_epoch = open_epoch.as_mut_slice();
         for e in events {
             p.events += 1;
             let t = e.thread.index();
@@ -114,29 +148,11 @@ impl TraceProfile {
         Ok(())
     }
 
-    /// Fraction of data accesses that are persists.
-    pub fn persist_density(&self) -> f64 {
-        let accesses = self.loads + self.stores;
-        if accesses == 0 {
-            0.0
-        } else {
-            self.persists as f64 / accesses as f64
-        }
-    }
-
-    /// Mean persists per persist epoch (including empty epochs) — the
-    /// intra-thread concurrency epoch persistency can expose.
-    pub fn mean_epoch_size(&self) -> f64 {
-        if self.epoch_sizes.is_empty() {
-            0.0
-        } else {
-            self.epoch_sizes.iter().sum::<u64>() as f64 / self.epoch_sizes.len() as f64
-        }
-    }
-
-    /// Largest persist epoch.
-    pub fn max_epoch_size(&self) -> u64 {
-        self.epoch_sizes.iter().copied().max().unwrap_or(0)
+    /// Completes the profile, closing each thread's trailing epoch.
+    pub fn finish(self) -> TraceProfile {
+        let mut p = self.p;
+        p.epoch_sizes.extend(self.open_epoch.into_iter().filter(|&open| open > 0));
+        p
     }
 }
 

@@ -125,6 +125,28 @@ impl Trace {
     }
 }
 
+/// Pulls `source` dry one [`SLAB_EVENTS`] slab at a time, handing each slab
+/// to `f` in stream order — the loop every one-pass analysis runs over a
+/// source.
+///
+/// # Errors
+///
+/// Propagates the source's decode/I/O errors and the first error `f`
+/// returns.
+pub fn for_each_slab<E: EventSource + ?Sized>(
+    source: &mut E,
+    mut f: impl FnMut(&[Event]) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut slab = Vec::new();
+    loop {
+        slab.clear();
+        if source.fill_slab(&mut slab, SLAB_EVENTS)? == 0 {
+            return Ok(());
+        }
+        f(&slab)?;
+    }
+}
+
 /// Drains a source into a materialized [`Trace`].
 ///
 /// # Errors
