@@ -12,8 +12,6 @@
 //! 8-thread trace captures cost far more than the 1-thread ones.
 
 use std::io::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// A deterministic-order parallel map over sweep cells.
@@ -66,7 +64,7 @@ impl SweepRunner {
     ///
     /// `f` receives the item's index and the item. With one worker (or one
     /// item) everything runs on the calling thread; otherwise cells are
-    /// claimed dynamically by a scoped worker pool.
+    /// claimed dynamically by [`obsv::par_map`]'s scoped worker pool.
     pub fn run<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -76,31 +74,7 @@ impl SweepRunner {
         if obsv::enabled() {
             obsv::counter_add("sweep.cells", items.len() as u64);
         }
-        if self.workers == 1 || items.len() <= 1 {
-            return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for _ in 0..self.workers.min(items.len()) {
-                s.spawn(|| {
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else { break };
-                        let r = f(i, item);
-                        *slots[i].lock().unwrap() = Some(r);
-                    }
-                    // Scoped threads do not run TLS destructors before the
-                    // scope unblocks; merge any buffered obsv data (series,
-                    // trace events) now so callers see a complete registry.
-                    obsv::flush();
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|m| m.into_inner().unwrap().expect("worker filled every claimed slot"))
-            .collect()
+        obsv::par_map(items.len(), self.workers, |i| f(i, &items[i]))
     }
 }
 

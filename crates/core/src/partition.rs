@@ -40,7 +40,6 @@ use obsv::{series, tracefmt};
 use std::collections::BTreeMap;
 use std::io;
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::{Scope, ScopedJoinHandle};
 
 /// Timeline track group (`pid`) for the analysis driver: decode workers
 /// and sink lanes. Distinct from the serve harness's per-model pids (1..=5).
@@ -263,12 +262,12 @@ where
     let results = std::thread::scope(|s| {
         let fd = &fd;
         for w in 0..workers.min(n_chunks) {
-            spawn_flushed(s, move || fd.decode_loop(w));
+            obsv::spawn_flushed(s, move || fd.decode_loop(w));
         }
         let others: Vec<_> = rest
             .iter_mut()
             .enumerate()
-            .map(|(k, sink)| spawn_flushed(s, move || fd.consume(k + 1, &mut **sink)))
+            .map(|(k, sink)| obsv::spawn_flushed(s, move || fd.consume(k + 1, &mut **sink)))
             .collect();
         let mut results = vec![fd.consume(0, &mut **first)];
         results.extend(others.into_iter().map(|h| h.join().expect("sink thread panicked")));
@@ -280,19 +279,6 @@ where
         .filter_map(|(k, r)| r.err().map(|(chunk, e)| ((chunk, k), e)))
         .min_by_key(|(at, _)| *at)
         .map_or(Ok(()), |(_, e)| Err(e))
-}
-
-/// Spawns one of [`drive`]'s threads. Each flushes its thread-local
-/// observability buffers once, on exit, here.
-fn spawn_flushed<'scope, T: Send + 'scope>(
-    s: &'scope Scope<'scope, '_>,
-    f: impl FnOnce() -> T + Send + 'scope,
-) -> ScopedJoinHandle<'scope, T> {
-    s.spawn(move || {
-        let out = f();
-        obsv::flush();
-        out
-    })
 }
 
 /// Extra slab slots beyond the structural minimum (one per decode worker

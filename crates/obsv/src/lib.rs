@@ -28,8 +28,10 @@
 //! regression gate.
 //!
 //! Thread-local buffers flush into the global registry when their thread
-//! exits (worker pools merge automatically) and on explicit [`flush`] /
-//! [`snapshot`] calls from the owning thread.
+//! exits and on explicit [`flush`] / [`snapshot`] calls from the owning
+//! thread. Scoped worker threads do not finish exiting before their scope
+//! unblocks, so they are spawned through [`par_map`] (a deterministic-order
+//! parallel map) or [`spawn_flushed`], the only places a worker flushes.
 
 #![warn(missing_docs)]
 
@@ -43,8 +45,9 @@ pub use runmeta::RunMeta;
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 
 /// Tri-state enable flag: 0 = not yet initialized (consult `OBSV`),
@@ -135,8 +138,8 @@ static GLOBAL: Mutex<Store> = Mutex::new(Store {
 /// net for threads that never flush. Note the destructor runs at OS
 /// thread exit, which `std::thread::scope` does NOT wait for (its join
 /// counter drops when the closure returns), so pool workers whose
-/// results are snapshot right after the scope must call [`flush`] at the
-/// end of their closure.
+/// results are snapshot right after the scope are spawned through
+/// [`spawn_flushed`] (or run under [`par_map`]), which flushes for them.
 struct LocalBuf {
     store: RefCell<Store>,
     /// Names of the currently open spans on this thread, outermost first.
@@ -276,8 +279,8 @@ pub fn span(name: &str) -> Span {
 /// series, and timeline events — into their global registries. Buffers
 /// of exited threads are merged automatically; long-lived threads (e.g.
 /// `main`) call this — or [`snapshot`], which flushes first — before
-/// reading results. Worker closures under `std::thread::scope` must call
-/// this before returning (see [`LocalBuf`]'s caveat).
+/// reading results. Scoped workers get this call from [`spawn_flushed`]
+/// and [`par_map`] (see [`LocalBuf`]'s caveat).
 pub fn flush() {
     LOCAL.with(|l| {
         let mut store = l.store.borrow_mut();
@@ -288,6 +291,54 @@ pub fn flush() {
     });
     series::flush();
     tracefmt::flush();
+}
+
+/// Spawns `f` on scope `s` and flushes the thread's buffers (see
+/// [`flush`]) once `f` returns, so whatever the thread recorded is in the
+/// global registries by the time the scope unblocks.
+pub fn spawn_flushed<'scope, T: Send + 'scope>(
+    s: &'scope Scope<'scope, '_>,
+    f: impl FnOnce() -> T + Send + 'scope,
+) -> ScopedJoinHandle<'scope, T> {
+    s.spawn(move || {
+        let out = f();
+        flush();
+        out
+    })
+}
+
+/// Deterministic-order parallel map: applies `f` to `0..n` on up to
+/// `workers` scoped threads and returns the results in index order,
+/// whatever the scheduling. Workers claim indices from a shared atomic
+/// counter (work stealing by index), so skewed item costs stay balanced,
+/// and each worker is spawned through [`spawn_flushed`]. With one worker
+/// (or at most one item) everything runs on the calling thread.
+pub fn par_map<R, F>(n: usize, workers: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let workers = workers.clamp(1, n.max(1));
+    if workers == 1 {
+        return (0..n).map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return done;
+            }
+            done.push((i, f(i)));
+        }
+    };
+    let mut tagged: Vec<(usize, R)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers).map(|_| spawn_flushed(s, claim)).collect();
+        handles.into_iter().flat_map(|h| h.join().expect("par_map worker panicked")).collect()
+    });
+    tagged.sort_unstable_by_key(|&(i, _)| i);
+    tagged.into_iter().map(|(_, r)| r).collect()
 }
 
 /// A merged, immutable view of every metric recorded so far.

@@ -93,9 +93,9 @@ static GLOBAL_SERIES: Mutex<SeriesStore> = Mutex::new(BTreeMap::new());
 
 /// Thread-local series buffer; `Drop` merges into the global registry at
 /// thread exit (same caveat as the crate root: `std::thread::scope` does
-/// not wait for TLS destructors, so pool workers call
-/// [`flush`](crate::flush) — which flushes this buffer too — before
-/// their closure returns).
+/// not wait for TLS destructors, so pool workers run under
+/// [`crate::par_map`] or [`crate::spawn_flushed`], whose
+/// [`flush`](crate::flush) covers this buffer too).
 struct LocalSeries {
     store: RefCell<SeriesStore>,
 }
@@ -192,8 +192,9 @@ pub fn observe_window_hist(name: &str, w: u64, h: &Histogram) {
 }
 
 /// Merges the calling thread's series buffer into the global registry.
-/// [`crate::flush`] calls this, so instrumented worker closures that
-/// already flush the aggregate layer cover the series layer for free.
+/// [`crate::flush`] calls this, so workers spawned through
+/// [`crate::par_map`] / [`crate::spawn_flushed`] cover the series layer
+/// for free.
 pub fn flush() {
     LOCAL_SERIES.with(|l| {
         let mut store = l.store.borrow_mut();

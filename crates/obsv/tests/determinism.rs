@@ -2,35 +2,10 @@
 //! byte-identical however the recording work is sharded across threads,
 //! mirroring the repo's `SweepRunner` determinism discipline.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Both tests reset the process-global registry, so they serialize.
 static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-/// Runs `items` work closures across `workers` threads with dynamic
-/// claiming (the same work-stealing-by-index scheme `SweepRunner` uses),
-/// recording metrics from whatever thread claims each item.
-fn run_sharded(workers: usize, items: usize, record: impl Fn(usize) + Sync) {
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items {
-                        break;
-                    }
-                    record(i);
-                }
-                // Flush before the closure returns: scope() can unblock as
-                // soon as the closure finishes, before this thread's TLS
-                // destructors (the automatic flush) have run.
-                obsv::flush();
-            });
-        }
-    });
-}
 
 fn record_cell(i: usize) {
     // Deterministic per-item payload: what gets recorded depends only on
@@ -50,7 +25,8 @@ fn snapshot_json_is_identical_for_1_2_8_workers() {
     let mut reference: Option<String> = None;
     for workers in [1usize, 2, 8] {
         obsv::reset();
-        run_sharded(workers, ITEMS, record_cell);
+        // No flush in the closure: par_map's workers flush on their own.
+        obsv::par_map(ITEMS, workers, record_cell);
         let json = obsv::snapshot().filter_prefix("det.").to_json();
         match &reference {
             None => reference = Some(json),
@@ -77,4 +53,19 @@ fn timings_are_excluded_from_deterministic_json() {
     assert!(!snap.to_json().contains("timings"));
     assert!(snap.to_json_full().contains("\"det2.section\""));
     assert_eq!(snap.timings["det2.section"].count, 1);
+}
+
+#[test]
+fn par_map_returns_results_in_input_order() {
+    for workers in [1usize, 2, 8] {
+        let out = obsv::par_map(200, workers, |i| {
+            // Skew item costs so workers finish out of order.
+            if i % 7 == 0 {
+                std::thread::yield_now();
+            }
+            i * 3
+        });
+        assert_eq!(out, (0..200).map(|i| i * 3).collect::<Vec<_>>(), "{workers} workers");
+        assert!(obsv::par_map(0, workers, |i| i).is_empty());
+    }
 }

@@ -18,11 +18,18 @@
 //!
 //! # Wall-clock mode
 //!
-//! Same per-shard machinery anchored to real time: workers own disjoint
-//! shard sets, pace arrivals against a shared `Instant`, and — under the
-//! unbuffered strict models — spin until the device model says the
-//! operation is durable, so persist stalls cost real wall time. Reported
-//! latency is `durable − arrival` either way.
+//! One shard engine, two clocks. `ShardRun` holds a shard's whole state
+//! machine — admission, shedding, batch deadlines, group-persist dispatch
+//! and latency attribution — and reads time only through a `Clock`.
+//! Virtual mode's clock advances a cursor through the shard's own work;
+//! wall mode's reads a shared `Instant`: a batch starts when it is
+//! dispatched, CPU work ends when execution returns, and under the
+//! unbuffered strict models the worker spins until the device model says
+//! the operation is durable, so persist stalls cost real wall time. What
+//! differs is the input path: each wall worker owns a disjoint shard set,
+//! regenerates the stream, keeps its own shards' requests and paces each
+//! one to its arrival instant before feeding the same engine calls.
+//! Reported latency is `durable − arrival` either way.
 
 use crate::device::{buffered, DeviceStats};
 use crate::gen::{route, shard_of, ArrivalLog, Op, OpKind, OpStream, Zipfian};
@@ -33,8 +40,6 @@ use obsv::{series, tracefmt};
 use persistency::Model;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Full harness configuration.
@@ -212,6 +217,7 @@ impl ModelReport {
 }
 
 /// One shard's simulation outcome (merged in shard order).
+#[derive(Default)]
 struct ShardOutcome {
     offered: u64,
     completed: u64,
@@ -226,29 +232,9 @@ struct ShardOutcome {
     batches: u64,
     batches_full: u64,
     makespan_ns: f64,
-    validation: Result<(), String>,
 }
 
 impl ShardOutcome {
-    fn empty() -> Self {
-        ShardOutcome {
-            offered: 0,
-            completed: 0,
-            shed: 0,
-            puts: 0,
-            gets: 0,
-            hits: 0,
-            latency: Histogram::default(),
-            stall: Histogram::default(),
-            queue_wait: Histogram::default(),
-            device: DeviceStats::default(),
-            batches: 0,
-            batches_full: 0,
-            makespan_ns: 0.0,
-            validation: Ok(()),
-        }
-    }
-
     /// Records one completed request's latency attribution.
     fn observe(
         &mut self,
@@ -302,6 +288,7 @@ pub fn model_track(model: Model) -> u64 {
 }
 
 /// One window's worth of a shard's series data.
+#[derive(Default)]
 struct WinAgg {
     completed: u64,
     shed: u64,
@@ -310,10 +297,6 @@ struct WinAgg {
 }
 
 impl WinAgg {
-    fn empty() -> Self {
-        WinAgg { completed: 0, shed: 0, latency: Histogram::default(), stall: Histogram::default() }
-    }
-
     fn is_empty(&self) -> bool {
         self.completed == 0 && self.shed == 0
     }
@@ -346,7 +329,7 @@ impl WinSeries {
             window_ns: series::window_ns(),
             model: model.name(),
             cur_w: 0,
-            cur: WinAgg::empty(),
+            cur: WinAgg::default(),
             done: BTreeMap::new(),
         })
     }
@@ -355,7 +338,7 @@ impl WinSeries {
         if self.cur.is_empty() {
             return;
         }
-        let cur = std::mem::replace(&mut self.cur, WinAgg::empty());
+        let cur = std::mem::take(&mut self.cur);
         match self.done.get_mut(&self.cur_w) {
             Some(e) => e.merge(&cur),
             None => {
@@ -387,7 +370,7 @@ impl WinSeries {
     }
 }
 
-/// Per-shard telemetry sink threaded through the dispatch paths: the
+/// Per-shard telemetry sink threaded through the shard engine: the
 /// aggregate obsv histogram name (recorded whenever obsv is enabled),
 /// plus the optional timeline track and windowed-series accumulator
 /// armed by `--timeline` / `--series-ns`.
@@ -425,133 +408,240 @@ impl Telemetry {
             ws.at(op.at_ns as f64).shed += 1;
         }
     }
+}
 
-    /// Folds the windowed series into the global registry. Must run
-    /// before the shard worker's final `obsv::flush()`.
-    fn finish(&mut self) {
-        if let Some(ws) = self.series.take() {
+/// Where a shard's time comes from. The shard engine ([`ShardRun`]) is
+/// written once against this trait and monomorphized per mode.
+trait Clock {
+    /// The current instant, the shard's own work having reached `cursor`:
+    /// virtual time is exactly the cursor, wall time reads the clock.
+    fn now(&self, cursor: f64) -> f64;
+    /// Holds the shard thread until `durable` (the unbuffered models) and
+    /// returns the cursor it resumes from.
+    fn hold(&self, durable: f64) -> f64;
+}
+
+/// Virtual time: only the shard's own work moves its clock.
+struct Virtual;
+
+impl Clock for Virtual {
+    fn now(&self, cursor: f64) -> f64 {
+        cursor
+    }
+
+    fn hold(&self, durable: f64) -> f64 {
+        durable
+    }
+}
+
+/// Wall time: nanoseconds since the run's shared start instant.
+#[derive(Clone, Copy)]
+struct Wall {
+    start: Instant,
+}
+
+impl Wall {
+    fn elapsed_ns(&self) -> u64 {
+        self.start.elapsed().as_nanos() as u64
+    }
+
+    /// Waits for the arrival instant `at_ns` (sleep for the bulk, spin the
+    /// last stretch) and returns the time it got there. A late caller is
+    /// never held back: the lag shows up as the request's latency.
+    fn pace(&self, at_ns: u64) -> u64 {
+        loop {
+            let now = self.elapsed_ns();
+            if now >= at_ns {
+                return now;
+            }
+            let gap = at_ns - now;
+            if gap > 100_000 {
+                std::thread::sleep(std::time::Duration::from_nanos(gap - 50_000));
+            } else {
+                std::hint::spin_loop();
+            }
+        }
+    }
+}
+
+impl Clock for Wall {
+    fn now(&self, _cursor: f64) -> f64 {
+        self.elapsed_ns() as f64
+    }
+
+    fn hold(&self, durable: f64) -> f64 {
+        while (self.elapsed_ns() as f64) < durable {
+            std::hint::spin_loop();
+        }
+        durable
+    }
+}
+
+/// One shard's state machine — admission, batching, dispatch and
+/// accounting — over a [`Clock`]. Callers feed it arrivals in order:
+/// [`ShardRun::expire`] then [`ShardRun::arrive`] for each request, and
+/// [`ShardRun::finish`] at end of stream.
+struct ShardRun<'a, C: Clock> {
+    cfg: &'a ServeConfig,
+    clock: C,
+    buffered: bool,
+    batch_cap: usize,
+    shard: Shard,
+    tel: Telemetry,
+    /// Completion instants (ns, rounded up) of admitted requests.
+    inflight: BinaryHeap<Reverse<u64>>,
+    /// Admitted requests waiting for their batch to close.
+    batch: Vec<Op>,
+    /// When the waiting batch's oldest member has waited long enough.
+    deadline: f64,
+    /// `(op, cpu_start, cpu_done, durable)` of the batch being dispatched.
+    slots: Vec<(Op, f64, f64, f64)>,
+    /// When the shard thread is next free.
+    thread_free: f64,
+    out: ShardOutcome,
+}
+
+impl<'a, C: Clock> ShardRun<'a, C> {
+    fn new(cfg: &'a ServeConfig, model: Model, shard_id: usize, clock: C) -> Self {
+        let mut shard = Shard::new(
+            cfg.kind,
+            model,
+            cfg.device(),
+            cfg.expected_keys_per_shard(),
+            cfg.expected_puts_per_shard(),
+        );
+        let tel = Telemetry::new(model, shard_id);
+        if let Some((pid, tid)) = tel.track {
+            shard.dev.set_track(pid, tid, tel.sample);
+        }
+        let batch_cap = cfg.batch.max(1);
+        ShardRun {
+            cfg,
+            clock,
+            buffered: buffered(model),
+            batch_cap,
+            shard,
+            tel,
+            inflight: BinaryHeap::new(),
+            batch: Vec::with_capacity(batch_cap),
+            deadline: 0.0,
+            slots: Vec::with_capacity(batch_cap),
+            thread_free: 0.0,
+            out: ShardOutcome::default(),
+        }
+    }
+
+    /// Dispatches the waiting batch if its deadline passed before `now`.
+    /// Virtual time dates the dispatch back to the deadline (nothing else
+    /// happened on the shard in between); the wall clock dispatches now.
+    fn expire(&mut self, now: u64) {
+        if !self.batch.is_empty() && now as f64 > self.deadline {
+            self.dispatch(self.deadline);
+        }
+    }
+
+    /// Offers `op`, arriving at `now`: retires completed requests, then
+    /// sheds `op` if the admission bound is reached or adds it to the
+    /// batch, dispatching the batch once it is full.
+    fn arrive(&mut self, op: Op, now: u64) {
+        self.out.offered += 1;
+        while self.inflight.peek().is_some_and(|&Reverse(c)| c <= now) {
+            self.inflight.pop();
+        }
+        // Requests waiting in the batch occupy admission slots too.
+        if self.inflight.len() + self.batch.len() >= self.cfg.qdepth {
+            self.out.shed += 1;
+            self.tel.shed(&op);
+            return;
+        }
+        let t = now as f64;
+        if self.batch.is_empty() {
+            self.deadline = t + self.cfg.batch_wait_ns;
+        }
+        self.batch.push(op);
+        if self.batch.len() >= self.batch_cap {
+            if self.batch_cap > 1 {
+                self.out.batches_full += 1;
+            }
+            self.dispatch(t);
+        }
+    }
+
+    /// Dispatches the trailing partial batch on its deadline, then
+    /// returns the shard's outcome if its recovery validates.
+    fn finish(mut self) -> Result<ShardOutcome, String> {
+        self.dispatch(self.deadline);
+        self.out.puts = self.shard.puts;
+        self.out.gets = self.shard.gets;
+        self.out.hits = self.shard.hits;
+        self.out.device = self.shard.dev.stats();
+        // On the shard's worker thread, before that thread's closing flush.
+        if let Some(ws) = self.tel.series.take() {
             ws.finish();
         }
+        self.shard.validate().map(|()| self.out)
     }
-}
 
-/// Deterministic-order parallel map over shard ids (work stealing by
-/// index; results land in shard order regardless of scheduling). Each
-/// worker holds one shard at a time, so at most `workers` are live.
-fn parallel_shards<R, F>(shards: usize, workers: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let workers = workers.max(1).min(shards.max(1));
-    if workers == 1 {
-        return (0..shards).map(&f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = (0..shards).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= shards {
-                        break;
-                    }
-                    let r = f(i);
-                    *slots[i].lock().unwrap() = Some(r);
-                }
-                // Scoped threads do not run TLS destructors before the
-                // scope unblocks; merge buffered obsv data (counters,
-                // series, trace events) now so callers see all of it.
-                obsv::flush();
-            });
+    /// Executes the closed batch back-to-back on the shard, starting once
+    /// it has closed (at `at`) and the shard thread is free.
+    ///
+    /// A singleton batch runs without a device group — bit-identical to
+    /// the pre-batching harness, which is what keeps `batch = 1` runs (and
+    /// every existing baseline) byte-stable. Larger batches open a device
+    /// group-persist window: requests execute back-to-back, the buffered
+    /// models coalesce dirty lines batch-wide and become durable together
+    /// at the closing barrier, the strict models keep their per-store
+    /// chains and per-request durability inside the window.
+    fn dispatch(&mut self, at: f64) {
+        if self.batch.is_empty() {
+            return;
         }
-    });
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("worker filled every shard slot"))
-        .collect()
-}
-
-/// Dispatches one closed batch back-to-back on the shard, starting no
-/// earlier than `dispatch_at` (or when the shard thread frees up).
-///
-/// A singleton batch takes the unbatched path — bit-identical to the
-/// pre-batching harness, which is what keeps `batch = 1` runs (and every
-/// existing baseline) byte-stable. Larger batches open a device
-/// group-persist window: requests execute back-to-back, the buffered
-/// models coalesce dirty lines batch-wide and become durable together at
-/// the closing barrier, the strict models keep their per-store chains and
-/// per-request durability inside the window.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_batch(
-    cfg: &ServeConfig,
-    model: Model,
-    shard: &mut Shard,
-    batch: &mut Vec<Op>,
-    slots: &mut Vec<(Op, f64, f64, f64)>,
-    dispatch_at: f64,
-    thread_free: &mut f64,
-    inflight: &mut BinaryHeap<Reverse<u64>>,
-    out: &mut ShardOutcome,
-    tel: &mut Telemetry,
-) {
-    if batch.is_empty() {
-        return;
+        self.out.batches += 1;
+        let grouped = self.batch.len() > 1;
+        let dispatch = self.clock.now(at.max(self.thread_free));
+        if grouped {
+            self.shard.dev.begin_group(dispatch);
+        }
+        self.slots.clear();
+        let mut cpu = dispatch;
+        for op in &self.batch {
+            let cpu_start = self.clock.now(cpu);
+            self.shard.dev.begin_op(cpu_start);
+            self.shard.execute(op);
+            let cpu_done = self.clock.now(cpu_start + self.cfg.cpu_ns);
+            let op_durable = self.shard.dev.end_op(cpu_done);
+            // Buffered models release the shard thread at CPU speed; the
+            // strict models hold it until each request is durable.
+            cpu = if self.buffered { cpu_done } else { self.clock.hold(op_durable) };
+            self.slots.push((*op, cpu_start, cpu_done, op_durable));
+        }
+        let group_done = grouped.then(|| self.shard.dev.end_group(self.clock.now(cpu)));
+        if let (Some(group_done), Some((pid, tid))) = (group_done, self.tel.track) {
+            // The batch window: open at dispatch, closed when the group's
+            // barrier lands (strict models: when the last op is durable).
+            tracefmt::span(
+                pid,
+                tid,
+                "batch",
+                dispatch,
+                (group_done.max(cpu) - dispatch).max(0.0),
+                &[("n", self.batch.len().to_string())],
+            );
+        }
+        for &(op, cpu_start, cpu_done, op_durable) in &self.slots {
+            // Group durability: buffered requests respond when the group's
+            // closing barrier lands; strict requests were already durable
+            // at their own chained persists.
+            let complete = match group_done {
+                Some(g) if self.buffered => g.max(cpu_done),
+                _ => op_durable,
+            };
+            self.out.observe(&op, cpu_start, cpu_done, complete, &mut self.tel);
+            self.inflight.push(Reverse(complete.ceil() as u64));
+        }
+        self.thread_free = cpu;
+        self.batch.clear();
     }
-    out.batches += 1;
-    let dispatch = dispatch_at.max(*thread_free);
-    if batch.len() == 1 {
-        let op = batch[0];
-        shard.dev.begin_op(dispatch);
-        shard.execute(&op);
-        let cpu_done = dispatch + cfg.cpu_ns;
-        let complete = shard.dev.end_op(cpu_done);
-        // Buffered models release the shard thread at CPU speed; the
-        // strict models hold it until durability.
-        *thread_free = if buffered(model) { cpu_done } else { complete };
-        out.observe(&op, dispatch, cpu_done, complete, tel);
-        inflight.push(Reverse(complete.ceil() as u64));
-        batch.clear();
-        return;
-    }
-    shard.dev.begin_group(dispatch);
-    slots.clear();
-    let mut cpu = dispatch;
-    for op in batch.iter() {
-        let cpu_start = cpu;
-        shard.dev.begin_op(cpu_start);
-        shard.execute(op);
-        let cpu_done = cpu_start + cfg.cpu_ns;
-        let op_durable = shard.dev.end_op(cpu_done);
-        // Back-to-back execution: buffered models run the next request at
-        // CPU speed, strict models hold the thread to durability per op.
-        cpu = if buffered(model) { cpu_done } else { op_durable };
-        slots.push((*op, cpu_start, cpu_done, op_durable));
-    }
-    let group_done = shard.dev.end_group(cpu);
-    if let Some((pid, tid)) = tel.track {
-        // The batch window: open at dispatch, closed when the group's
-        // barrier lands (strict models: when the last op is durable).
-        tracefmt::span(
-            pid,
-            tid,
-            "batch",
-            dispatch,
-            (group_done.max(cpu) - dispatch).max(0.0),
-            &[("n", batch.len().to_string())],
-        );
-    }
-    for (op, cpu_start, cpu_done, op_durable) in slots.iter() {
-        // Group durability: buffered requests respond when the group's
-        // closing barrier lands; strict requests were already durable at
-        // their own chained persists.
-        let complete = if buffered(model) { group_done.max(*cpu_done) } else { *op_durable };
-        out.observe(op, *cpu_start, *cpu_done, complete, tel);
-        inflight.push(Reverse(complete.ceil() as u64));
-    }
-    *thread_free = cpu;
-    batch.clear();
 }
 
 /// Simulates one shard on virtual time, replaying its arrival log.
@@ -560,262 +650,50 @@ fn simulate_shard(
     model: Model,
     arrivals: &ArrivalLog,
     shard_id: usize,
-) -> ShardOutcome {
-    let mut shard = Shard::new(
-        cfg.kind,
-        model,
-        cfg.device(),
-        cfg.expected_keys_per_shard(),
-        cfg.expected_puts_per_shard(),
-    );
-    let mut tel = Telemetry::new(model, shard_id);
-    if let Some((pid, tid)) = tel.track {
-        shard.dev.set_track(pid, tid, tel.sample);
-    }
-    let mut out = ShardOutcome::empty();
-    let mut inflight: BinaryHeap<Reverse<u64>> = BinaryHeap::new();
-    let mut thread_free = 0.0f64;
-    let batch_cap = cfg.batch.max(1);
-    let mut batch: Vec<Op> = Vec::with_capacity(batch_cap);
-    let mut slots: Vec<(Op, f64, f64, f64)> = Vec::with_capacity(batch_cap);
-    let mut deadline = 0.0f64;
+) -> Result<ShardOutcome, String> {
+    let mut run = ShardRun::new(cfg, model, shard_id, Virtual);
     for op in arrivals.iter() {
-        out.offered += 1;
-        // A waiting batch whose deadline passed dispatches first (virtual
-        // time: nothing else happened on this shard in between, so the
-        // dispatch is dated back to the deadline instant).
-        if !batch.is_empty() && (op.at_ns as f64) > deadline {
-            dispatch_batch(
-                cfg, model, &mut shard, &mut batch, &mut slots, deadline, &mut thread_free,
-                &mut inflight, &mut out, &mut tel,
-            );
-        }
-        while let Some(&Reverse(c)) = inflight.peek() {
-            if c <= op.at_ns {
-                inflight.pop();
-            } else {
-                break;
-            }
-        }
-        // Requests waiting in the batch occupy admission slots too.
-        if inflight.len() + batch.len() >= cfg.qdepth {
-            out.shed += 1;
-            tel.shed(&op);
-            continue;
-        }
-        let t = op.at_ns as f64;
-        if batch.is_empty() {
-            deadline = t + cfg.batch_wait_ns;
-        }
-        batch.push(op);
-        if batch.len() >= batch_cap {
-            if batch_cap > 1 {
-                out.batches_full += 1;
-            }
-            dispatch_batch(
-                cfg, model, &mut shard, &mut batch, &mut slots, t, &mut thread_free,
-                &mut inflight, &mut out, &mut tel,
-            );
-        }
+        run.expire(op.at_ns);
+        run.arrive(op, op.at_ns);
     }
-    // End of stream: the trailing partial batch dispatches on its deadline.
-    dispatch_batch(
-        cfg, model, &mut shard, &mut batch, &mut slots, deadline, &mut thread_free, &mut inflight,
-        &mut out, &mut tel,
-    );
-    out.puts = shard.puts;
-    out.gets = shard.gets;
-    out.hits = shard.hits;
-    out.device = shard.dev.stats();
-    out.validation = shard.validate();
-    tel.finish();
-    out
+    run.finish()
 }
 
-/// One shard's live state inside a wall-clock worker.
-struct WallSlot {
-    id: usize,
-    shard: Shard,
-    inflight: BinaryHeap<Reverse<u64>>,
-    out: ShardOutcome,
-    batch: Vec<Op>,
-    /// Wall deadline (ns since run start) for the waiting batch.
-    deadline: u64,
-    tel: Telemetry,
-}
-
-/// Executes one closed batch on a wall-clock shard, starting now.
-fn wall_dispatch(
-    model: Model,
-    slot: &mut WallSlot,
-    start: Instant,
-    recs: &mut Vec<(Op, f64, f64, f64)>,
-) {
-    if slot.batch.is_empty() {
-        return;
-    }
-    slot.out.batches += 1;
-    let grouped = slot.batch.len() > 1;
-    let dispatch = start.elapsed().as_nanos() as f64;
-    if grouped {
-        slot.shard.dev.begin_group(dispatch);
-    }
-    recs.clear();
-    for op in slot.batch.iter() {
-        let cpu_start = start.elapsed().as_nanos() as f64;
-        slot.shard.dev.begin_op(cpu_start);
-        slot.shard.execute(op);
-        let cpu_done = start.elapsed().as_nanos() as f64;
-        let op_durable = slot.shard.dev.end_op(cpu_done);
-        if !buffered(model) {
-            // Unbuffered front end: the worker stalls until durability.
-            while (start.elapsed().as_nanos() as f64) < op_durable {
-                std::hint::spin_loop();
-            }
-        }
-        recs.push((*op, cpu_start, cpu_done, op_durable));
-    }
-    let group_done = if grouped {
-        slot.shard.dev.end_group(start.elapsed().as_nanos() as f64)
-    } else {
-        recs[0].3
-    };
-    if grouped {
-        if let Some((pid, tid)) = slot.tel.track {
-            tracefmt::span(
-                pid,
-                tid,
-                "batch",
-                dispatch,
-                (group_done - dispatch).max(0.0),
-                &[("n", recs.len().to_string())],
-            );
-        }
-    }
-    // Buffered models never spin: the worker runs ahead and the modeled
-    // group close lands on the response path as completion time.
-    for (op, cpu_start, cpu_done, op_durable) in recs.iter() {
-        let complete =
-            if buffered(model) && grouped { group_done.max(*cpu_done) } else { *op_durable };
-        slot.out.observe(op, *cpu_start, *cpu_done, complete, &mut slot.tel);
-        slot.inflight.push(Reverse(complete.ceil() as u64));
-    }
-    slot.batch.clear();
-}
-
-/// Runs one worker's shard set against the wall clock.
+/// Paces one worker's shard set against the wall clock: each request
+/// waits for its arrival instant, every owned shard's expired batch
+/// dispatches, then the request's shard admits it.
 fn wall_worker(
     cfg: &ServeConfig,
     model: Model,
     zipf: &Zipfian,
     my_shards: &[usize],
-    start: Instant,
-) -> Vec<(usize, ShardOutcome)> {
-    let batch_cap = cfg.batch.max(1);
-    let mut slots: Vec<WallSlot> = my_shards
-        .iter()
-        .map(|&id| {
-            let tel = Telemetry::new(model, id);
-            let mut shard = Shard::new(
-                cfg.kind,
-                model,
-                cfg.device(),
-                cfg.expected_keys_per_shard(),
-                cfg.expected_puts_per_shard(),
-            );
-            if let Some((pid, tid)) = tel.track {
-                shard.dev.set_track(pid, tid, tel.sample);
-            }
-            WallSlot {
-                id,
-                shard,
-                inflight: BinaryHeap::new(),
-                out: ShardOutcome::empty(),
-                batch: Vec::with_capacity(batch_cap),
-                deadline: 0,
-                tel,
-            }
-        })
-        .collect();
-    let mut recs: Vec<(Op, f64, f64, f64)> = Vec::with_capacity(batch_cap);
-    let obsv_on = obsv::enabled();
+    clock: Wall,
+) -> Vec<(usize, Result<ShardOutcome, String>)> {
+    let mut runs: Vec<(usize, ShardRun<'_, Wall>)> =
+        my_shards.iter().map(|&id| (id, ShardRun::new(cfg, model, id, clock))).collect();
     for op in OpStream::new(zipf, cfg.seed, cfg.rate_ops_per_sec, cfg.get_ratio, cfg.ops) {
         let owner = shard_of(op.key, cfg.shards);
-        if !slots.iter().any(|s| s.id == owner) {
-            continue;
+        let Some(slot) = runs.iter().position(|(id, _)| *id == owner) else { continue };
+        let now = clock.pace(op.at_ns);
+        for (_, run) in runs.iter_mut() {
+            run.expire(now);
         }
-        // Pace the open loop: wait for the arrival instant (sleep for the
-        // bulk, spin the last stretch), but never fall behind silently —
-        // if we're late the request just sees the lag as latency.
-        loop {
-            let now = start.elapsed().as_nanos() as u64;
-            if now >= op.at_ns {
-                break;
-            }
-            let gap = op.at_ns - now;
-            if gap > 100_000 {
-                std::thread::sleep(std::time::Duration::from_nanos(gap - 50_000));
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-        let now = start.elapsed().as_nanos() as u64;
-        // Any shard whose waiting batch expired dispatches before this
-        // arrival is handled — the wall analogue of the virtual-time
-        // deadline close.
-        for slot in slots.iter_mut() {
-            if !slot.batch.is_empty() && now > slot.deadline {
-                wall_dispatch(model, slot, start, &mut recs);
-            }
-        }
-        let slot = slots.iter_mut().find(|s| s.id == owner).expect("owner slot exists");
-        slot.out.offered += 1;
-        while let Some(&Reverse(c)) = slot.inflight.peek() {
-            if c <= now {
-                slot.inflight.pop();
-            } else {
-                break;
-            }
-        }
-        if slot.inflight.len() + slot.batch.len() >= cfg.qdepth {
-            slot.out.shed += 1;
-            slot.tel.shed(&op);
-            continue;
-        }
-        if slot.batch.is_empty() {
-            slot.deadline = now + cfg.batch_wait_ns as u64;
-        }
-        slot.batch.push(op);
-        if slot.batch.len() >= batch_cap {
-            if batch_cap > 1 {
-                slot.out.batches_full += 1;
-            }
-            wall_dispatch(model, slot, start, &mut recs);
-        }
+        runs[slot].1.arrive(op, now);
     }
-    // End of stream: trailing partial batches dispatch immediately.
-    for slot in slots.iter_mut() {
-        wall_dispatch(model, slot, start, &mut recs);
-        slot.tel.finish();
+    // End of stream: every trailing batch dispatches now, before any
+    // shard's validation runs.
+    for (_, run) in runs.iter_mut() {
+        run.expire(u64::MAX);
     }
-    if obsv_on {
-        obsv::flush();
-    }
-    slots
-        .into_iter()
-        .map(|mut slot| {
-            slot.out.puts = slot.shard.puts;
-            slot.out.gets = slot.shard.gets;
-            slot.out.hits = slot.shard.hits;
-            slot.out.device = slot.shard.dev.stats();
-            slot.out.validation = slot.shard.validate();
-            (slot.id, slot.out)
-        })
-        .collect()
+    runs.into_iter().map(|(id, run)| (id, run.finish())).collect()
 }
 
 /// Merges per-shard outcomes (in shard order) into a model report.
-fn merge(model: Model, outcomes: Vec<ShardOutcome>, wall: Option<f64>) -> Result<ModelReport, String> {
+fn merge(
+    model: Model,
+    outcomes: Vec<Result<ShardOutcome, String>>,
+    wall: Option<f64>,
+) -> Result<ModelReport, String> {
     let mut r = ModelReport {
         model,
         offered: 0,
@@ -835,7 +713,7 @@ fn merge(model: Model, outcomes: Vec<ShardOutcome>, wall: Option<f64>) -> Result
         hottest_shard: (0, 0),
     };
     for (i, o) in outcomes.into_iter().enumerate() {
-        o.validation.map_err(|e| format!("shard {i} failed validation under {model}: {e}"))?;
+        let o = o.map_err(|e| format!("shard {i} failed validation under {model}: {e}"))?;
         r.offered += o.offered;
         r.completed += o.completed;
         r.shed += o.shed;
@@ -864,13 +742,17 @@ fn merge(model: Model, outcomes: Vec<ShardOutcome>, wall: Option<f64>) -> Result
 ///
 /// # Errors
 ///
-/// Returns a description if any shard fails post-run recovery validation.
+/// Returns a description if `cfg.shards` is zero or any shard fails
+/// post-run recovery validation.
 pub fn run_model(
     cfg: &ServeConfig,
     model: Model,
     mode: Mode,
     workers: usize,
 ) -> Result<ModelReport, String> {
+    if cfg.shards == 0 {
+        return Err("serve needs at least one shard (shards = 0)".to_string());
+    }
     let zipf = Zipfian::new(cfg.keys, cfg.theta);
     match mode {
         Mode::Virtual => {
@@ -878,23 +760,25 @@ pub fn run_model(
                 OpStream::new(&zipf, cfg.seed, cfg.rate_ops_per_sec, cfg.get_ratio, cfg.ops);
             let logs = route(stream, cfg.shards);
             let outcomes =
-                parallel_shards(cfg.shards, workers, |id| simulate_shard(cfg, model, &logs[id], id));
+                obsv::par_map(cfg.shards, workers, |id| simulate_shard(cfg, model, &logs[id], id));
             merge(model, outcomes, None)
         }
         Mode::Wall => {
-            let workers = workers.max(1).min(cfg.shards.max(1));
-            let assignments: Vec<Vec<usize>> = (0..workers)
-                .map(|w| (0..cfg.shards).filter(|s| s % workers == w).collect())
-                .collect();
-            let start = Instant::now();
-            let mut tagged: Vec<(usize, ShardOutcome)> = std::thread::scope(|s| {
-                let handles: Vec<_> = assignments
-                    .iter()
-                    .map(|mine| s.spawn(|| wall_worker(cfg, model, &zipf, mine, start)))
+            // Each worker paces its own shards, so every one needs a
+            // thread of its own rather than a slot in a work-stealing map.
+            let workers = workers.clamp(1, cfg.shards);
+            let zipf = &zipf;
+            let clock = Wall { start: Instant::now() };
+            let mut tagged: Vec<_> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|w| {
+                        let mine: Vec<usize> = (w..cfg.shards).step_by(workers).collect();
+                        obsv::spawn_flushed(s, move || wall_worker(cfg, model, zipf, &mine, clock))
+                    })
                     .collect();
                 handles.into_iter().flat_map(|h| h.join().expect("wall worker panicked")).collect()
             });
-            let wall = start.elapsed().as_secs_f64();
+            let wall = clock.start.elapsed().as_secs_f64();
             tagged.sort_by_key(|(id, _)| *id);
             merge(model, tagged.into_iter().map(|(_, o)| o).collect(), Some(wall))
         }
@@ -1045,4 +929,64 @@ pub fn render_table(cfg: &ServeConfig, mode: Mode, reports: &[ModelReport]) -> S
         ));
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Feeds `ops` through one shard engine on `clock`, stamping each
+    /// arrival with `now(op)`; returns the device schedule and the
+    /// outcome, which must pass recovery validation.
+    fn drive<C: Clock>(
+        cfg: &ServeConfig,
+        model: Model,
+        ops: &[Op],
+        clock: C,
+        now: impl Fn(&Op) -> u64,
+    ) -> (Vec<u64>, ShardOutcome) {
+        let mut run = ShardRun::new(cfg, model, 0, clock);
+        run.shard.dev.record_schedule(true);
+        for op in ops {
+            let t = now(op);
+            run.expire(t);
+            run.arrive(*op, t);
+        }
+        run.expire(u64::MAX);
+        let schedule = run.shard.dev.schedule_log().to_vec();
+        (schedule, run.finish().unwrap_or_else(|e| panic!("{model}: {e}")))
+    }
+
+    /// Service order and coalescing depend on the call sequence, not on
+    /// time: with shedding impossible, a wall-paced shard issues exactly
+    /// the device writes its virtual twin does.
+    #[test]
+    fn wall_and_virtual_clocks_drive_the_same_device_schedule() {
+        let cfg = ServeConfig {
+            shards: 1,
+            keys: 500,
+            ops: 400,
+            rate_ops_per_sec: 1_000_000.0,
+            qdepth: 400,
+            batch: 1,
+            ..ServeConfig::new(StoreKind::Kv)
+        };
+        let zipf = Zipfian::new(cfg.keys, cfg.theta);
+        let ops: Vec<Op> =
+            OpStream::new(&zipf, cfg.seed, cfg.rate_ops_per_sec, cfg.get_ratio, cfg.ops).collect();
+        for model in Model::ALL {
+            let (vlog, v) =
+                drive(&cfg, model, &ops, Virtual, |op| op.at_ns);
+            let wall = Wall { start: Instant::now() };
+            let (wlog, w) = drive(&cfg, model, &ops, wall, |op| wall.pace(op.at_ns));
+            assert!(!vlog.is_empty(), "{model}: nothing serviced");
+            assert_eq!(vlog, wlog, "{model}: device schedules diverged");
+            let key = |d: &DeviceStats| (d.stores, d.device_writes, d.wear_blocks, d.wear_max_block);
+            assert_eq!(key(&v.device), key(&w.device), "{model}: device stats diverged");
+            let counts = |o: &ShardOutcome| (o.offered, o.completed, o.puts, o.gets, o.hits);
+            assert_eq!(counts(&v), counts(&w), "{model}: request accounting diverged");
+            assert_eq!(v.offered, cfg.ops, "{model}");
+            assert_eq!(v.shed + w.shed, 0, "{model}: qdepth >= ops must not shed");
+        }
+    }
 }

@@ -112,18 +112,40 @@ fn every_structure_validates_under_every_model() {
 
 #[test]
 fn wall_mode_completes_and_accounts() {
-    let cfg = ServeConfig {
-        keys: 2_000,
-        ops: 5_000,
-        rate_ops_per_sec: 1_000_000.0,
-        shards: 4,
-        ..ServeConfig::new(StoreKind::Kv)
-    };
-    let r = run_model(&cfg, Model::Epoch, Mode::Wall, 2).unwrap();
-    assert_eq!(r.offered, cfg.ops);
-    assert_eq!(r.offered, r.completed + r.shed);
-    assert!(r.wall_seconds.unwrap() > 0.0);
-    assert!(r.throughput() > 0.0);
+    for batch in [1usize, 32] {
+        let cfg = ServeConfig {
+            keys: 2_000,
+            ops: 5_000,
+            rate_ops_per_sec: 1_000_000.0,
+            shards: 4,
+            batch,
+            ..ServeConfig::new(StoreKind::Kv)
+        };
+        for model in Model::ALL {
+            let r = run_model(&cfg, model, Mode::Wall, 2)
+                .unwrap_or_else(|e| panic!("{model} batch {batch}: {e}"));
+            let at = format!("{model} batch {batch}");
+            assert_eq!(r.offered, cfg.ops, "{at}: every op reaches admission");
+            assert_eq!(r.offered, r.completed + r.shed, "{at}: no op vanishes");
+            assert!(r.batches_full <= r.batches, "{at}: {} full of {}", r.batches_full, r.batches);
+            assert!(r.batches <= r.completed, "{at}: {} batches for {}", r.batches, r.completed);
+            if r.completed > 0 {
+                assert!(r.mean_batch_fill() >= 1.0, "{at}: fill {}", r.mean_batch_fill());
+            }
+            assert!(r.wall_seconds.unwrap() > 0.0, "{at}");
+            assert!(r.throughput() > 0.0, "{at}");
+        }
+    }
+}
+
+#[test]
+fn zero_shards_is_an_error_in_both_modes() {
+    let cfg = ServeConfig { shards: 0, keys: 1_000, ops: 500, ..ServeConfig::new(StoreKind::Kv) };
+    for mode in [Mode::Virtual, Mode::Wall] {
+        let err = run_model(&cfg, Model::Epoch, mode, 2)
+            .expect_err("a run over zero shards must be refused");
+        assert!(err.contains("shards"), "{mode:?}: error should name shards: {err}");
+    }
 }
 
 #[test]
