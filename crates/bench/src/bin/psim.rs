@@ -35,6 +35,7 @@ use persist_mem::{AtomicPersistSize, MemAddr, TrackingGranularity};
 use persistency::crash::{check, Exploration};
 use persistency::dag::PersistDag;
 use persistency::observer::RecoveryObserver;
+use persistency::profile::LANES;
 use persistency::{partition, timing, AnalysisConfig, Model};
 use pfi::fuzz::{shard_ranges, CellPlan, FuzzCell, FuzzConfig, ShardReport, Structure};
 use pqueue::bounded::{bounded_crash_invariant, run_bounded_workload, BoundedLayout};
@@ -596,8 +597,9 @@ fn cmd_crash_fuzz(args: &Args) -> Result<u64, String> {
 
 fn cmd_profile(args: &Args) -> Result<u64, String> {
     let path = args.required("--trace")?;
-    // Profiling replays the trace once per scored barrier, so materialize
-    // it — via mmap when the capture is MPTRACE2.
+    // Profiling walks the trace several times (DAG build, baseline, one
+    // pass per lane group of barrier what-ifs), so materialize it — via
+    // mmap when the capture is MPTRACE2.
     let trace = match open_mapped(path) {
         Some(map) => map.collect().map_err(|e| format!("read {path}: {e}"))?,
         None => load_trace(path)?,
@@ -610,13 +612,13 @@ fn cmd_profile(args: &Args) -> Result<u64, String> {
     let runner = SweepRunner::from_env();
     let report = profcli::run_profile(&trace, &cfg, max_barriers, &runner)
         .map_err(|e| e.to_string())?;
-    // Events pushed through the engines: one DAG build plus one timing
-    // re-analysis per scored barrier.
-    let events = trace.events().len() as u64 * (1 + report.barriers.len() as u64);
+    // Events pushed through the engines: one DAG build, one baseline
+    // timing pass and one timing pass per lane group of what-ifs.
+    let groups = report.barriers.len().div_ceil(LANES);
+    let events = trace.events().len() as u64 * (2 + groups as u64);
 
     if args.has("--json") {
-        let meta =
-            RunMeta::collect(runner.workers(), runner.effective_workers(report.barriers.len()));
+        let meta = RunMeta::collect(runner.workers(), runner.effective_workers(groups));
         let json = profcli::render_json(&report, &meta, top);
         if let Some(path) = args.get("--out") {
             std::fs::write(path, &json).map_err(|e| format!("write {path}: {e}"))?;

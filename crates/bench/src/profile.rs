@@ -2,10 +2,12 @@
 //! rendering.
 //!
 //! The attribution analysis itself lives in [`persistency::profile`]; this
-//! module owns the harness side — fanning the per-barrier what-if
-//! re-analyses out across a [`SweepRunner`] (each one is an independent
-//! full timing pass) and rendering the report as a human table or a JSON
-//! artifact.
+//! module owns the harness side — fanning the barrier what-ifs out across
+//! a [`SweepRunner`] and rendering the report as a human table or a JSON
+//! artifact. The what-ifs are scored [`LANES`] at a time as the lanes of
+//! one timing pass over the unmodified trace (lane *k* leaves out barrier
+//! *k*'s epoch fold, which is exactly what removing it changes), so each
+//! sweep cell is one lane group, not one barrier.
 //!
 //! Rendering is deterministic: everything below the single-line `meta`
 //! object depends only on (trace, config, top, max_barriers), never on
@@ -16,7 +18,7 @@ use crate::sweep::SweepRunner;
 use mem_trace::Trace;
 use obsv::runmeta::RunMeta;
 use persistency::dag::{DagError, PersistDag};
-use persistency::profile::{profile_dag, score_barrier, EdgeKind, ProfileReport};
+use persistency::profile::{profile_dag, score_barriers, EdgeKind, ProfileReport, LANES};
 use persistency::AnalysisConfig;
 use std::fmt::Write as _;
 
@@ -25,7 +27,8 @@ use std::fmt::Write as _;
 const JSON_PATH_CAP: usize = 10_000;
 
 /// Profiles `trace` under `config`, scoring up to `max_barriers` ordering
-/// barriers in parallel on `runner`.
+/// barriers in parallel on `runner`, one lane group of up to [`LANES`]
+/// barriers per sweep cell.
 ///
 /// # Errors
 ///
@@ -37,18 +40,20 @@ pub fn run_profile(
     max_barriers: usize,
     runner: &SweepRunner,
 ) -> Result<ProfileReport, DagError> {
-    let dag = PersistDag::build(trace, config)?;
-    let mut report = profile_dag(trace, &dag, 0);
+    // The DAG is dropped before the what-ifs start, so their lane scratch
+    // does not add to its peak memory.
+    let mut report = profile_dag(trace, &PersistDag::build(trace, config)?, 0);
     let candidates: Vec<usize> = persistency::profile::barrier_candidates(trace)
         .into_iter()
         .take(max_barriers)
         .collect();
+    let groups: Vec<&[usize]> = candidates.chunks(LANES).collect();
     let baseline = report.timing_critical_path;
-    // Each what-if is a full timing re-analysis of the reduced trace —
-    // independent cells, so they sweep in parallel. Results come back in
-    // candidate order regardless of worker interleaving.
-    report.barriers =
-        runner.run(&candidates, |_, &i| score_barrier(trace, config, baseline, i));
+    // Results come back in candidate order regardless of worker
+    // interleaving.
+    report.barriers = runner
+        .run(&groups, |_, group| score_barriers(trace, config, baseline, group))
+        .concat();
     Ok(report)
 }
 

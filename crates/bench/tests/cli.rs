@@ -177,6 +177,56 @@ fn analyze_and_cuts_json_match_checked_in_fixtures() {
     }
 }
 
+/// `psim profile --json`, below the meta line, must reproduce checked-in
+/// bytes under every model at one worker and at three. Thirteen barriers
+/// make an uneven split into lane groups: one full group of eight and a
+/// partial one of five.
+///
+/// After a deliberate output change, regenerate with:
+///
+/// ```sh
+/// psim capture --queue cwl --mode racing --threads 2 --inserts 16 --seed 42 --out pin.trace
+/// for m in strict strict-rmo epoch bpfs strand; do
+///     psim profile --trace pin.trace --model $m --barriers 13 --json | grep -v '^  "meta"' \
+///         > crates/bench/tests/fixtures/profile_$m.json
+/// done
+/// ```
+#[test]
+fn profile_json_matches_checked_in_fixtures() {
+    let trace = tmp("profile_pinned.trace");
+    let out = psim()
+        .args([
+            "capture", "--queue", "cwl", "--mode", "racing", "--threads", "2", "--inserts", "16",
+            "--seed", "42", "--out", &trace,
+        ])
+        .output()
+        .expect("run psim capture");
+    assert!(out.status.success(), "capture failed: {}", String::from_utf8_lossy(&out.stderr));
+    let fixtures = [
+        ("strict", include_str!("fixtures/profile_strict.json")),
+        ("strict-rmo", include_str!("fixtures/profile_strict-rmo.json")),
+        ("epoch", include_str!("fixtures/profile_epoch.json")),
+        ("bpfs", include_str!("fixtures/profile_bpfs.json")),
+        ("strand", include_str!("fixtures/profile_strand.json")),
+    ];
+    for threads in ["1", "3"] {
+        for (model, want) in fixtures {
+            let out = psim()
+                .args(["profile", "--trace", &trace, "--model", model, "--barriers", "13", "--json"])
+                .env("SWEEP_THREADS", threads)
+                .output()
+                .expect("run psim profile");
+            assert!(out.status.success(), "{model}: {}", String::from_utf8_lossy(&out.stderr));
+            let got: String = String::from_utf8_lossy(&out.stdout)
+                .lines()
+                .filter(|l| !l.starts_with("  \"meta\""))
+                .map(|l| format!("{l}\n"))
+                .collect();
+            assert_eq!(got, want, "profile {model} at SWEEP_THREADS={threads}");
+        }
+    }
+}
+
 #[test]
 fn profile_table_reports_sources_and_barriers() {
     let trace = tmp("profile_table.trace");

@@ -63,6 +63,36 @@ pub(crate) trait Domain {
     /// [`Domain::can_coalesce`] returned `true`).
     fn coalesce(&mut self, target: Self::PRef, w: WriteRec, ev: EventRef);
 
+    /// A persist with incoming constraint `input` to an atomic-persist
+    /// block whose last persist is `target`, under coalescing: merges into
+    /// `target` when legal, else creates a new persist. Returns the persist
+    /// the write ended up in and whether it coalesced. Domains that carry
+    /// several analyses at once override this to decide per analysis.
+    #[inline]
+    fn persist_onto(
+        &mut self,
+        input: &Self::Dep,
+        target: Self::PRef,
+        w: WriteRec,
+        ev: EventRef,
+    ) -> (Self::PRef, bool) {
+        if self.can_coalesce(input, target) {
+            self.coalesce(target, w, ev);
+            (target, true)
+        } else {
+            (self.new_persist(input, w, ev), false)
+        }
+    }
+
+    /// Folds a thread's epoch-local constraint `cur` into its prefix
+    /// `prev` at the ordering barrier at trace index `index`, leaving `cur`
+    /// empty for the next epoch.
+    #[inline]
+    fn fold(&mut self, prev: &mut Self::Dep, cur: &mut Self::Dep, _index: usize) {
+        self.join(prev, cur);
+        self.reset_dep(cur);
+    }
+
     /// The constraint "ordered after persist `p`".
     fn dep_of(&self, p: Self::PRef) -> Self::Dep;
 

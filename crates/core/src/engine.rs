@@ -255,16 +255,14 @@ fn push_events<D: Domain>(
                         let ab = atomic.block_of(addr).to_bits();
                         match last_persist.entry(ab) {
                             Entry::Occupied(mut o) => {
-                                let p = *o.get();
-                                if config.coalescing && dom.can_coalesce(input, p) {
-                                    stats.coalesced += 1;
-                                    dom.coalesce(p, w, ev);
-                                    p
+                                let (p, coalesced) = if config.coalescing {
+                                    dom.persist_onto(input, *o.get(), w, ev)
                                 } else {
-                                    let p = dom.new_persist(input, w, ev);
-                                    o.insert(p);
-                                    p
-                                }
+                                    (dom.new_persist(input, w, ev), false)
+                                };
+                                stats.coalesced += coalesced as u64;
+                                o.insert(p);
+                                p
                             }
                             Entry::Vacant(v) => {
                                 let p = dom.new_persist(input, w, ev);
@@ -323,7 +321,7 @@ fn push_events<D: Domain>(
                 // Under strict persistency on relaxed consistency there are
                 // no persist barriers: persistency is the consistency model.
                 if model != Model::StrictRmo {
-                    fold_epoch(dom, &mut threads[t]);
+                    fold_epoch(dom, &mut threads[t], index);
                 }
             }
             Op::PersistSync => {
@@ -331,7 +329,7 @@ fn push_events<D: Domain>(
                 // orders every earlier persist before every later one
                 // under any model.
                 stats.barriers += 1;
-                fold_epoch(dom, &mut threads[t]);
+                fold_epoch(dom, &mut threads[t], index);
             }
             Op::MemBarrier => {
                 // A consistency barrier orders store visibility; only
@@ -340,7 +338,7 @@ fn push_events<D: Domain>(
                 // ordered; epoch/strand persistency explicitly decouple
                 // store visibility from persist order, §4.2.)
                 if model == Model::StrictRmo {
-                    fold_epoch(dom, &mut threads[t]);
+                    fold_epoch(dom, &mut threads[t], index);
                 }
             }
             Op::NewStrand => {
@@ -364,13 +362,13 @@ fn push_events<D: Domain>(
     Ok(())
 }
 
-/// Folds a thread's epoch-local constraint into its per-thread prefix at a
-/// barrier, keeping the epoch buffer's storage for the next epoch.
+/// Folds a thread's epoch-local constraint into its per-thread prefix at
+/// the barrier at trace index `index`, keeping the epoch buffer's storage
+/// for the next epoch.
 #[inline]
-fn fold_epoch<D: Domain>(dom: &mut D, st: &mut ThreadState<D>) {
+fn fold_epoch<D: Domain>(dom: &mut D, st: &mut ThreadState<D>, index: usize) {
     let ThreadState { prev, cur, .. } = st;
-    dom.join(prev, cur);
-    dom.reset_dep(cur);
+    dom.fold(prev, cur, index);
 }
 
 /// Folds the conflict constraints a block's state imposes on an incoming

@@ -17,7 +17,9 @@
 //! a barrier whose removal leaves the critical path unchanged contributed
 //! no persist-ordering serialization on this trace (it may of course still
 //! be needed for correctness on other interleavings — the verdict is a
-//! profiling hint, not a proof).
+//! profiling hint, not a proof). The what-ifs never copy the trace: up to
+//! [`LANES`] of them run as the lanes of one timing-engine pass (see
+//! [`score_barriers`]).
 //!
 //! Everything here is deterministic for a fixed trace and configuration:
 //! ties on the path walk are broken by smallest node id, so the rendered
@@ -25,9 +27,20 @@
 //! work.
 
 use crate::dag::{DagError, PersistDag};
+use crate::domain::{Domain, EventRef, WriteRec};
+use crate::engine::{self, Scratch};
 use crate::{timing, AnalysisConfig};
 use mem_trace::{Op, ThreadId, Trace};
 use persist_mem::MemAddr;
+
+/// Barrier what-ifs scored by one timing-engine pass.
+///
+/// Every lane widens the engine's per-thread and per-block dependence
+/// values by one level, so peak memory, not time, sets the width: an
+/// 8-lane pass costs about 1.2 scalar timing passes, while 16 or 32 lanes
+/// grow the block tables until they outweigh the persist DAG the profile
+/// builds first, for no further speedup.
+pub const LANES: usize = 8;
 
 /// The kind of ordering constraint linking consecutive critical-path
 /// nodes.
@@ -158,8 +171,8 @@ pub struct ProfileReport {
     /// coalescing — see the `divergence` test suite).
     pub critical_path: u64,
     /// The timing engine's critical path for the same inputs. Barrier
-    /// redundancy verdicts compare against this value, because each
-    /// what-if re-analysis runs the (scalar, cheap) timing engine.
+    /// redundancy verdicts compare against this value, because the
+    /// what-ifs run the (level-based, cheap) timing analysis.
     pub timing_critical_path: u64,
     /// Persist nodes in the DAG.
     pub persist_nodes: usize,
@@ -207,22 +220,106 @@ pub fn barrier_candidates(trace: &Trace) -> Vec<usize> {
         .collect()
 }
 
-/// Critical path of `trace` under `config` with the single event at
-/// `skip_index` removed. Pure and deterministic — safe to fan out across
-/// worker threads.
-pub fn critical_path_without(trace: &Trace, config: &AnalysisConfig, skip_index: usize) -> u64 {
-    let events: Vec<_> = trace
-        .events()
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| *i != skip_index)
-        .map(|(_, e)| *e)
-        .collect();
-    let reduced = Trace::from_events(trace.thread_count(), events);
-    timing::analyze(&reduced, config).critical_path
+/// The level analysis of [`timing`], run as [`LANES`] what-ifs at once:
+/// lane *k* is the analysis of the trace with the event at `skip[k]`
+/// removed.
+///
+/// Lane skipping equals event removal because every candidate is an
+/// ordering barrier, whose only effect on engine state is the epoch fold it
+/// may trigger: lane *k* leaves that fold out (a barrier the model does not
+/// fold on leaves the lane equal to the baseline), the level domain never
+/// reads [`EventRef::index`] so the shifted indices after a removed event
+/// change nothing, and coalescing is decided per lane.
+#[derive(Debug)]
+struct LaneDomain {
+    /// Trace index each lane leaves out (`usize::MAX`: an unused lane).
+    skip: [usize; LANES],
+    /// Per-lane critical path so far.
+    max_level: [u32; LANES],
 }
 
-/// Per-thread persist-epoch index: `epoch_at(thread, index)` counts the
+impl LaneDomain {
+    fn new(skip: &[usize]) -> Self {
+        let mut lanes = [usize::MAX; LANES];
+        lanes[..skip.len()].copy_from_slice(skip);
+        LaneDomain { skip: lanes, max_level: [0; LANES] }
+    }
+
+    #[inline]
+    fn note(&mut self, p: &[u32; LANES]) {
+        for (m, &l) in self.max_level.iter_mut().zip(p) {
+            *m = (*m).max(l);
+        }
+    }
+}
+
+impl Domain for LaneDomain {
+    /// Per-lane maximum level ordered before.
+    type Dep = [u32; LANES];
+    /// Per-lane level of the persist.
+    type PRef = [u32; LANES];
+
+    fn bottom(&self) -> Self::Dep {
+        [0; LANES]
+    }
+
+    #[inline]
+    fn join(&mut self, into: &mut Self::Dep, from: &Self::Dep) {
+        for (i, &f) in into.iter_mut().zip(from) {
+            *i = (*i).max(f);
+        }
+    }
+
+    #[inline]
+    fn new_persist(&mut self, input: &Self::Dep, _w: WriteRec, _ev: EventRef) -> Self::PRef {
+        let p = input.map(|l| l + 1);
+        self.note(&p);
+        p
+    }
+
+    fn can_coalesce(&self, input: &Self::Dep, target: Self::PRef) -> bool {
+        input.iter().zip(&target).all(|(i, t)| i <= t)
+    }
+
+    fn coalesce(&mut self, _target: Self::PRef, _w: WriteRec, _ev: EventRef) {}
+
+    fn dep_of(&self, p: Self::PRef) -> Self::Dep {
+        p
+    }
+
+    /// Each lane coalesces or not on its own levels.
+    #[inline]
+    fn persist_onto(
+        &mut self,
+        input: &Self::Dep,
+        target: Self::PRef,
+        _w: WriteRec,
+        _ev: EventRef,
+    ) -> (Self::PRef, bool) {
+        let mut p = [0; LANES];
+        let mut all = true;
+        for k in 0..LANES {
+            let merge = input[k] <= target[k];
+            p[k] = if merge { target[k] } else { input[k] + 1 };
+            all &= merge;
+        }
+        self.note(&p);
+        (p, all)
+    }
+
+    /// The lane whose candidate is this barrier does not fold.
+    #[inline]
+    fn fold(&mut self, prev: &mut Self::Dep, cur: &mut Self::Dep, index: usize) {
+        for k in 0..LANES {
+            if self.skip[k] != index {
+                prev[k] = prev[k].max(cur[k]);
+                cur[k] = 0;
+            }
+        }
+    }
+}
+
+/// Per-thread persist-epoch index/// Per-thread persist-epoch index: `epoch_at(thread, index)` counts the
 /// epoch boundaries (persist barriers and syncs) the thread executed
 /// before trace index `index`.
 #[derive(Debug)]
@@ -311,8 +408,8 @@ fn longest_path(dag: &PersistDag) -> Vec<u32> {
 }
 
 /// Profiles an already-built DAG. Use [`profile`] unless you have a DAG
-/// at hand. `max_barriers` caps the redundancy scoring (each scored
-/// barrier costs one full timing re-analysis); pass 0 to skip it.
+/// at hand. `max_barriers` caps the redundancy scoring (every [`LANES`]
+/// scored barriers cost one timing pass); pass 0 to skip it.
 pub fn profile_dag(
     trace: &Trace,
     dag: &PersistDag,
@@ -347,15 +444,12 @@ pub fn profile_dag(
 
     let sources = rank_sources(&path);
     let candidates = barrier_candidates(trace);
-    // Barrier what-ifs run the scalar timing engine, so redundancy is
+    // Barrier what-ifs run the timing level analysis, so redundancy is
     // judged against the timing engine's own baseline (under coalescing
     // it can sit below the DAG's exact critical path).
     let timing_cp = timing::analyze(trace, &config).critical_path;
-    let barriers = candidates
-        .iter()
-        .take(max_barriers)
-        .map(|&i| score_barrier(trace, &config, timing_cp, i))
-        .collect();
+    let scored = &candidates[..max_barriers.min(candidates.len())];
+    let barriers = score_barriers(trace, &config, timing_cp, scored);
 
     ProfileReport {
         config,
@@ -369,29 +463,73 @@ pub fn profile_dag(
     }
 }
 
-/// Scores one barrier candidate (see [`BarrierCheck`]). Pure — the bench
-/// harness fans this out across sweep workers.
+/// Scores one barrier candidate (see [`BarrierCheck`]): a one-lane
+/// [`score_barriers`].
 pub fn score_barrier(
     trace: &Trace,
     config: &AnalysisConfig,
     baseline: u64,
     trace_index: usize,
 ) -> BarrierCheck {
-    let e = trace.events()[trace_index];
-    let op = match e.op {
-        Op::PersistBarrier => BarrierOp::PersistBarrier,
-        Op::PersistSync => BarrierOp::PersistSync,
-        Op::MemBarrier => BarrierOp::MemBarrier,
-        other => panic!("not an ordering barrier at {trace_index}: {other:?}"),
-    };
-    let without = critical_path_without(trace, config, trace_index);
-    BarrierCheck {
-        trace_index,
-        thread: e.thread,
-        op,
-        critical_path_without: without,
-        redundant: without == baseline,
+    score_barriers(trace, config, baseline, &[trace_index])
+        .pop()
+        .expect("one check per candidate")
+}
+
+/// Scores barrier candidates (see [`BarrierCheck`]) against the timing
+/// critical path `baseline`, in the order given. Each group of up to
+/// [`LANES`] candidates costs one timing-engine pass over `trace`, one
+/// lane per candidate; the trace is never copied. Pure — the bench
+/// harness fans lane groups out across sweep workers.
+///
+/// # Panics
+///
+/// Panics if a candidate is not an ordering barrier, or if the trace has
+/// `u32::MAX` or more events (lane levels are 32-bit).
+pub fn score_barriers(
+    trace: &Trace,
+    config: &AnalysisConfig,
+    baseline: u64,
+    trace_indices: &[usize],
+) -> Vec<BarrierCheck> {
+    let events = trace.events();
+    // A level never exceeds the number of persists before it.
+    assert!(events.len() < u32::MAX as usize, "trace too long for 32-bit lane levels");
+    let mut checks: Vec<BarrierCheck> = trace_indices
+        .iter()
+        .map(|&trace_index| {
+            let e = events[trace_index];
+            let op = match e.op {
+                Op::PersistBarrier => BarrierOp::PersistBarrier,
+                Op::PersistSync => BarrierOp::PersistSync,
+                Op::MemBarrier => BarrierOp::MemBarrier,
+                other => panic!("not an ordering barrier at {trace_index}: {other:?}"),
+            };
+            BarrierCheck {
+                trace_index,
+                thread: e.thread,
+                op,
+                critical_path_without: 0,
+                redundant: false,
+            }
+        })
+        .collect();
+    let mut scratch = Scratch::new(&LaneDomain::new(&[]));
+    for (group, out) in trace_indices.chunks(LANES).zip(checks.chunks_mut(LANES)) {
+        let mut run = engine::Run::begin(
+            config,
+            trace.thread_count(),
+            LaneDomain::new(group),
+            &mut scratch,
+        );
+        run.push_events(events).expect("in-memory traces name only their own threads");
+        let (dom, _) = run.finish();
+        for (check, &level) in out.iter_mut().zip(&dom.max_level) {
+            check.critical_path_without = u64::from(level);
+            check.redundant = check.critical_path_without == baseline;
+        }
     }
+    checks
 }
 
 /// Groups path steps by (thread, epoch) and ranks by contribution.

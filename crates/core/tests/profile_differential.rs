@@ -8,13 +8,15 @@
 //! timing from above — see `divergence.rs`). The extracted path itself
 //! must be a real DAG path with levels 1..=cp, and removing an ordering
 //! barrier can only relax constraints, so each what-if critical path is
-//! bounded by the baseline.
+//! bounded by the baseline. Barrier what-ifs, scored as lanes of one
+//! timing pass, must equal re-analyzing a copy of the trace with the
+//! barrier removed.
 
 use mem_trace::rng::SmallRng;
-use mem_trace::{SeededScheduler, Trace, TracedMem};
+use mem_trace::{Op, SeededScheduler, Trace, TracedMem};
 use persist_mem::MemAddr;
 use persistency::dag::PersistDag;
-use persistency::profile::{profile, EdgeKind};
+use persistency::profile::{barrier_candidates, profile, score_barriers, EdgeKind, LANES};
 use persistency::{timing, AnalysisConfig, Model};
 
 /// Randomized multithread workload, same shape as the engine-divergence
@@ -24,7 +26,7 @@ fn random_trace(seed: u64) -> Trace {
     let mut rng = SmallRng::seed_from_u64(seed * 13 + 5);
     let threads = 2 + (seed % 3) as u32;
     let scripts: Vec<Vec<(u8, u64)>> = (0..threads)
-        .map(|_| (0..40).map(|_| (rng.gen_index(6) as u8, rng.gen_index(8) as u64)).collect())
+        .map(|_| (0..40).map(|_| (rng.gen_index(7) as u8, rng.gen_index(8) as u64)).collect())
         .collect();
     let mem = TracedMem::new(SeededScheduler::new(seed));
     mem.run(threads, |ctx| {
@@ -40,6 +42,7 @@ fn random_trace(seed: u64) -> Trace {
                 }
                 3 => ctx.persist_barrier(),
                 4 => ctx.mem_barrier(),
+                5 => ctx.persist_sync(),
                 _ => ctx.new_strand(),
             }
         }
@@ -118,6 +121,79 @@ fn barrier_removal_never_lengthens_the_critical_path() {
                     b.critical_path_without
                 );
                 assert_eq!(b.redundant, b.critical_path_without == r.timing_critical_path);
+            }
+        }
+    }
+}
+
+/// The what-if oracle: copy the trace without the event at `skip_index`
+/// and re-analyze the copy.
+fn critical_path_without(trace: &Trace, config: &AnalysisConfig, skip_index: usize) -> u64 {
+    let mut events = trace.events().to_vec();
+    events.remove(skip_index);
+    timing::analyze(&Trace::from_events(trace.thread_count(), events), config).critical_path
+}
+
+fn check_lanes(trace: &Trace, cfg: &AnalysisConfig, candidates: &[usize], what: &str) {
+    let baseline = timing::analyze(trace, cfg).critical_path;
+    let checks = score_barriers(trace, cfg, baseline, candidates);
+    assert_eq!(checks.len(), candidates.len(), "{what}");
+    for (c, &i) in checks.iter().zip(candidates) {
+        let want = critical_path_without(trace, cfg, i);
+        assert_eq!(c.trace_index, i, "{what}");
+        assert_eq!(c.thread, trace.events()[i].thread, "{what}");
+        assert_eq!(c.critical_path_without, want, "{what}: barrier at {i}");
+        assert_eq!(c.redundant, want == baseline, "{what}: barrier at {i}");
+    }
+}
+
+#[test]
+fn lane_what_ifs_equal_removing_the_barrier() {
+    let (mut syncs, mut mems) = (0, 0);
+    for seed in 0..40u64 {
+        let trace = random_trace(seed);
+        let candidates = barrier_candidates(&trace);
+        for &i in &candidates {
+            match trace.events()[i].op {
+                Op::PersistSync => syncs += 1,
+                Op::MemBarrier => mems += 1,
+                _ => {}
+            }
+        }
+        for model in Model::ALL {
+            for cfg in [AnalysisConfig::new(model), AnalysisConfig::new(model).without_coalescing()]
+            {
+                let what = format!("seed {seed} model {model} coalescing {}", cfg.coalescing);
+                // Every candidate, in groups of LANES with a partial last
+                // group whenever the count is not a multiple of LANES.
+                check_lanes(&trace, &cfg, &candidates, &what);
+            }
+        }
+        // Partially filled groups of every size, on a window that does
+        // not start at a group boundary.
+        let cfg = AnalysisConfig::new(Model::Epoch);
+        for n in 1..=LANES + 1 {
+            let window = &candidates[candidates.len().min(3)..candidates.len().min(3 + n)];
+            check_lanes(&trace, &cfg, window, &format!("seed {seed} window of {n}"));
+        }
+    }
+    assert!(syncs > 0 && mems > 0, "traces must exercise persist-sync and mem-barrier candidates");
+}
+
+#[test]
+fn persist_barrier_lanes_equal_the_baseline_under_strict_rmo() {
+    // Strict persistency on relaxed consistency has no persist barriers:
+    // leaving one out changes nothing, while a persist sync or memory
+    // barrier may still matter.
+    for seed in 0..10u64 {
+        let trace = random_trace(seed);
+        let cfg = AnalysisConfig::new(Model::StrictRmo);
+        let baseline = timing::analyze(&trace, &cfg).critical_path;
+        let candidates = barrier_candidates(&trace);
+        for c in score_barriers(&trace, &cfg, baseline, &candidates) {
+            if trace.events()[c.trace_index].op == Op::PersistBarrier {
+                assert_eq!(c.critical_path_without, baseline, "seed {seed} at {}", c.trace_index);
+                assert!(c.redundant);
             }
         }
     }
