@@ -227,6 +227,48 @@ fn profile_json_matches_checked_in_fixtures() {
     }
 }
 
+/// `psim crash-fuzz --json` over every structure and model with torn
+/// persists, below the meta line, must reproduce checked-in bytes at one
+/// worker and at three. The four relaxed-model cells of the barrier-elided
+/// queue fail, so the fixture also pins their shrunk reproducers (crash
+/// point and dropped lines) and the exit status.
+///
+/// After a deliberate output change, regenerate with:
+///
+/// ```sh
+/// psim crash-fuzz --structure all --model all --ops 16 --injections 400 --torn --seed 7 \
+///     --json | grep -v '^  "meta"' > crates/bench/tests/fixtures/crash_fuzz_all_torn.json
+/// ```
+#[test]
+fn crash_fuzz_json_matches_checked_in_fixture() {
+    for threads in ["1", "3"] {
+        let out = psim()
+            .args([
+                "crash-fuzz", "--structure", "all", "--model", "all", "--ops", "16",
+                "--injections", "400", "--torn", "--seed", "7", "--json",
+            ])
+            .env("SWEEP_THREADS", threads)
+            .output()
+            .expect("run psim crash-fuzz");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "SWEEP_THREADS={threads}: {stderr}");
+        assert!(
+            stderr.contains("crash-fuzz found failures in 4 cell(s)"),
+            "SWEEP_THREADS={threads}: {stderr}"
+        );
+        let got: String = String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .filter(|l| !l.starts_with("  \"meta\""))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert_eq!(
+            got,
+            include_str!("fixtures/crash_fuzz_all_torn.json"),
+            "crash-fuzz at SWEEP_THREADS={threads}"
+        );
+    }
+}
+
 #[test]
 fn profile_table_reports_sources_and_barriers() {
     let trace = tmp("profile_table.trace");

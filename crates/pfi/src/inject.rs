@@ -43,11 +43,45 @@
 //! wear model sweeps. Fragments *below* the boundary cannot tear: the
 //! fence that ordered them ahead of surviving persists guaranteed all
 //! their units.
+//!
+//! **Pending index.** [`FragmentSet::from_events`] stores, per durability
+//! rule (fence; flush then fence; flush then same-strand fence), each
+//! fragment's durability point `D[i]` (`u32::MAX` when never durable)
+//! and the running maximum of `D` in store order. Fragments are in store
+//! order, so at point `p` the written ones are a prefix `..hi` and every
+//! fragment before the first running maximum `>= p` is durable: the
+//! pending set is the `D[i] >= p` members of one window `lo..hi`, found by
+//! two binary searches. A draw costs O(log fragments + window) instead of
+//! a scan of every fragment. Grouping needs no rescans either: the
+//! per-line rules sort the pending `(line, fragment)` pairs once, and
+//! strand ids and epochs never decrease in store order, so strands and
+//! epochs are contiguous runs of the pending list. Draws consume the RNG
+//! in the same order as a full scan would, so a seed fixes the crash case.
 
 use crate::shadow::{Recording, ShadowEvent};
 use mem_trace::rng::SmallRng;
 use persist_mem::{AtomicPersistSize, MemAddr, MemoryImage, CACHE_LINE_BYTES};
 use persistency::Model;
+
+/// The durability rules, as indices into per-rule arrays: a fence after
+/// the store; a fence after a covering flush; a fence on the covering
+/// flush's strand.
+const FENCE: usize = 0;
+const FLUSH_FENCE: usize = 1;
+const STRAND_FENCE: usize = 2;
+const RULES: usize = 3;
+
+/// The durability point of a fragment that never becomes durable.
+const NEVER: u32 = u32::MAX;
+
+/// The durability rule `model` reads.
+fn rule(model: Model) -> usize {
+    match model {
+        Model::Strict | Model::StrictRmo => FENCE,
+        Model::Strand => STRAND_FENCE,
+        _ => FLUSH_FENCE, // epoch, bpfs
+    }
+}
 
 /// A store restricted to one cache line.
 #[derive(Debug, Clone)]
@@ -66,25 +100,17 @@ pub struct Fragment {
     pub strand: u32,
     /// Fence count within the strand at the store.
     pub strand_epoch: u32,
-    /// First event index whose execution makes the fragment durable under
-    /// a fence-only rule (strict, strict-rmo).
-    durable_fence: Option<usize>,
-    /// Same under the flush-then-fence rule (epoch, bpfs).
-    durable_flush_fence: Option<usize>,
-    /// Same with the fence required on the flush's strand (strand).
-    durable_strand: Option<usize>,
+    /// First event index whose execution makes the fragment durable, per
+    /// durability rule; [`NEVER`] if none does.
+    durable: [u32; RULES],
 }
 
 impl Fragment {
     /// The event index after which this fragment is guaranteed durable
     /// under `model`, if any.
     pub fn durable_at(&self, model: Model) -> Option<usize> {
-        match model {
-            Model::Strict | Model::StrictRmo => self.durable_fence,
-            Model::Epoch | Model::Bpfs => self.durable_flush_fence,
-            Model::Strand => self.durable_strand,
-            _ => self.durable_flush_fence,
-        }
+        let d = self.durable[rule(model)];
+        (d != NEVER).then_some(d as usize)
     }
 
     /// Number of atomic-persist units the fragment spans.
@@ -113,10 +139,21 @@ pub struct CrashCase {
     pub survivors: Vec<Survivor>,
 }
 
+/// One durability rule's pending index. Fragment `i` is pending at crash
+/// point `p` iff `event(i) < p <= durable[i]`.
+#[derive(Debug, Clone)]
+struct PendingIndex {
+    /// Each fragment's durability point under the rule ([`NEVER`] if none).
+    durable: Vec<u32>,
+    /// Running maximum of `durable` in store order.
+    durable_max: Vec<u32>,
+}
+
 /// The per-line fragments of a recording, with durability metadata.
 #[derive(Debug, Clone)]
 pub struct FragmentSet {
     frags: Vec<Fragment>,
+    index: [PendingIndex; RULES],
     events_len: usize,
     unit: u64,
 }
@@ -135,6 +172,7 @@ impl FragmentSet {
     /// into a [`Recording`].
     pub fn from_events(events: &[ShadowEvent], unit: AtomicPersistSize) -> Self {
         let line_sz = CACHE_LINE_BYTES;
+        assert!(events.len() < NEVER as usize, "event indices must fit in u32");
         // Tag every event with (epoch, strand, strand_epoch).
         let mut tags = Vec::with_capacity(events.len());
         let (mut epoch, mut strand, mut strand_epoch) = (0u32, 0u32, 0u32);
@@ -171,9 +209,7 @@ impl FragmentSet {
                     epoch,
                     strand,
                     strand_epoch,
-                    durable_fence: None,
-                    durable_flush_fence: None,
-                    durable_strand: None,
+                    durable: [NEVER; RULES],
                 });
                 off += take;
             }
@@ -192,30 +228,35 @@ impl FragmentSet {
                         }
                     }
                     ShadowEvent::Fence => {
-                        if f.durable_fence.is_none() {
-                            f.durable_fence = Some(i);
-                        }
+                        let d = &mut f.durable;
+                        d[FENCE] = d[FENCE].min(i as u32);
                         if let Some(fl_strand) = covered {
-                            if f.durable_flush_fence.is_none() {
-                                f.durable_flush_fence = Some(i);
-                            }
-                            if f.durable_strand.is_none() && tags[i].1 == fl_strand {
-                                f.durable_strand = Some(i);
+                            d[FLUSH_FENCE] = d[FLUSH_FENCE].min(i as u32);
+                            if tags[i].1 == fl_strand {
+                                d[STRAND_FENCE] = d[STRAND_FENCE].min(i as u32);
                             }
                         }
                     }
                     _ => {}
                 }
-                if f.durable_fence.is_some()
-                    && f.durable_flush_fence.is_some()
-                    && f.durable_strand.is_some()
-                {
+                if f.durable.iter().all(|&d| d != NEVER) {
                     break;
                 }
             }
         }
 
-        FragmentSet { frags, events_len: events.len(), unit: unit.bytes() }
+        let index = std::array::from_fn(|r| {
+            let durable: Vec<u32> = frags.iter().map(|f| f.durable[r]).collect();
+            let durable_max = durable
+                .iter()
+                .scan(0, |max, &d| {
+                    *max = d.max(*max);
+                    Some(*max)
+                })
+                .collect();
+            PendingIndex { durable, durable_max }
+        });
+        FragmentSet { frags, index, events_len: events.len(), unit: unit.bytes() }
     }
 
     /// All fragments, in store (sequence) order.
@@ -235,14 +276,27 @@ impl FragmentSet {
     }
 
     fn is_durable(&self, i: usize, model: Model, point: usize) -> bool {
-        self.frags[i].durable_at(model).is_some_and(|e| e < point)
+        (self.index[rule(model)].durable[i] as usize) < point
+    }
+
+    fn is_pending(&self, i: usize, model: Model, point: usize) -> bool {
+        self.frags[i].event < point && !self.is_durable(i, model, point)
+    }
+
+    /// The pending fragments at `point`, in store order. Fragments written
+    /// before `point` are a prefix `..hi`; those before the first `lo`
+    /// whose running durability maximum reaches `point` are all durable.
+    /// Two binary searches find the window; a filter on it does the rest.
+    fn pending_iter(&self, model: Model, point: usize) -> impl Iterator<Item = usize> + '_ {
+        let ix = &self.index[rule(model)];
+        let hi = self.frags.partition_point(|f| f.event < point);
+        let lo = ix.durable_max[..hi].partition_point(|&d| (d as usize) < point);
+        (lo..hi).filter(move |&i| ix.durable[i] as usize >= point)
     }
 
     /// Indices of fragments pending (written, not durable) at `point`.
     pub fn pending(&self, model: Model, point: usize) -> Vec<usize> {
-        (0..self.frags.len())
-            .filter(|&i| self.frags[i].event < point && !self.is_durable(i, model, point))
-            .collect()
+        self.pending_iter(model, point).collect()
     }
 
     fn full_mask(&self, i: usize) -> u64 {
@@ -254,127 +308,114 @@ impl FragmentSet {
         }
     }
 
+    /// `pending` reordered for the per-line prefix rules: ascending line,
+    /// store order within a line. Split it with [`FragmentSet::same_line`].
+    fn line_major(&self, pending: &[usize]) -> Vec<usize> {
+        let mut order = pending.to_vec();
+        order.sort_unstable_by_key(|&i| (self.frags[i].line, i));
+        order
+    }
+
+    fn same_line(&self, a: usize, b: usize) -> bool {
+        self.frags[a].line == self.frags[b].line
+    }
+
+    /// Strand ids never decrease in store order, so a store-ordered list
+    /// splits on this into one run per strand, in ascending strand order.
+    fn same_strand(&self, a: usize, b: usize) -> bool {
+        self.frags[a].strand == self.frags[b].strand
+    }
+
     /// Samples a crash case at `point`: a legal survivor subset of the
     /// pending fragments under `model`, optionally with torn boundary
     /// fragments.
     pub fn draw(&self, model: Model, point: usize, rng: &mut SmallRng, torn: bool) -> CrashCase {
         let pending = self.pending(model, point);
         let mut survivors = Vec::new();
-        let keep_full = |survivors: &mut Vec<Survivor>, i: usize| {
-            survivors.push(Survivor { frag: i, unit_mask: self.full_mask(i) });
-        };
-        // Keeps a boundary fragment with a random (possibly partial) mask.
-        let keep_boundary = |survivors: &mut Vec<Survivor>, i: usize, rng: &mut SmallRng| {
-            let full = self.full_mask(i);
-            let mask = if torn && rng.gen_below(4) == 0 { rng.next_u64() & full } else { full };
-            if mask != 0 {
-                survivors.push(Survivor { frag: i, unit_mask: mask });
-            }
-        };
-
         match model {
-            Model::Strict => {
-                let k = rng.gen_below(pending.len() as u64 + 1) as usize;
-                for (n, &i) in pending.iter().take(k).enumerate() {
-                    if n + 1 == k {
-                        keep_boundary(&mut survivors, i, rng);
-                    } else {
-                        keep_full(&mut survivors, i);
-                    }
-                }
-            }
+            Model::Strict => self.draw_prefix(&pending, rng, &mut survivors, torn),
             Model::StrictRmo | Model::Bpfs => {
                 // Independent prefix per line.
-                let mut lines: Vec<u64> = pending.iter().map(|&i| self.frags[i].line).collect();
-                lines.sort_unstable();
-                lines.dedup();
-                for line in lines {
-                    let of_line: Vec<usize> = pending
-                        .iter()
-                        .copied()
-                        .filter(|&i| self.frags[i].line == line)
-                        .collect();
-                    let k = rng.gen_below(of_line.len() as u64 + 1) as usize;
-                    for (n, &i) in of_line.iter().take(k).enumerate() {
-                        if n + 1 == k {
-                            keep_boundary(&mut survivors, i, rng);
-                        } else {
-                            keep_full(&mut survivors, i);
-                        }
-                    }
+                for line in self.line_major(&pending).chunk_by(|&a, &b| self.same_line(a, b)) {
+                    self.draw_prefix(line, rng, &mut survivors, torn);
                 }
             }
-            Model::Epoch => {
-                self.draw_epochwise(&pending, |i| self.frags[i].epoch, rng, &mut survivors, torn);
-            }
             Model::Strand => {
-                let mut strands: Vec<u32> = pending.iter().map(|&i| self.frags[i].strand).collect();
-                strands.sort_unstable();
-                strands.dedup();
-                for s in strands {
-                    let of_strand: Vec<usize> = pending
-                        .iter()
-                        .copied()
-                        .filter(|&i| self.frags[i].strand == s)
-                        .collect();
-                    self.draw_epochwise(
-                        &of_strand,
-                        |i| self.frags[i].strand_epoch,
-                        rng,
-                        &mut survivors,
-                        torn,
-                    );
+                for strand in pending.chunk_by(|&a, &b| self.same_strand(a, b)) {
+                    let epoch_of = |i: usize| self.frags[i].strand_epoch;
+                    self.draw_epochwise(strand, epoch_of, rng, &mut survivors, torn);
                 }
             }
             _ => {
-                self.draw_epochwise(&pending, |i| self.frags[i].epoch, rng, &mut survivors, torn);
+                let epoch_of = |i: usize| self.frags[i].epoch;
+                self.draw_epochwise(&pending, epoch_of, rng, &mut survivors, torn);
             }
         }
         survivors.sort_unstable_by_key(|s| s.frag);
         CrashCase { point, survivors }
     }
 
-    /// Epoch-downward-closed draw over `pending` with epochs given by
-    /// `epoch_of`: pick a boundary epoch, keep everything below it, flip a
-    /// coin (and possibly tear) inside it, drop everything above.
+    /// Prefix draw over `group` (store order): keep a uniformly chosen
+    /// prefix, the last kept fragment possibly torn.
+    fn draw_prefix(
+        &self,
+        group: &[usize],
+        rng: &mut SmallRng,
+        survivors: &mut Vec<Survivor>,
+        torn: bool,
+    ) {
+        let k = rng.gen_below(group.len() as u64 + 1) as usize;
+        let Some((&last, whole)) = group[..k].split_last() else { return };
+        survivors.extend(whole.iter().map(|&i| Survivor { frag: i, unit_mask: self.full_mask(i) }));
+        self.keep_boundary(last, rng, survivors, torn);
+    }
+
+    /// Keeps a boundary fragment with a random (possibly partial) mask.
+    fn keep_boundary(
+        &self,
+        i: usize,
+        rng: &mut SmallRng,
+        survivors: &mut Vec<Survivor>,
+        torn: bool,
+    ) {
+        let full = self.full_mask(i);
+        let mask = if torn && rng.gen_below(4) == 0 { rng.next_u64() & full } else { full };
+        if mask != 0 {
+            survivors.push(Survivor { frag: i, unit_mask: mask });
+        }
+    }
+
+    /// Epoch-downward-closed draw over `group` (store order, so `epoch_of`
+    /// never decreases along it): pick a boundary epoch, keep everything
+    /// below it, flip a coin (and possibly tear) inside it, drop everything
+    /// above.
     fn draw_epochwise(
         &self,
-        pending: &[usize],
+        group: &[usize],
         epoch_of: impl Fn(usize) -> u32,
         rng: &mut SmallRng,
         survivors: &mut Vec<Survivor>,
         torn: bool,
     ) {
-        if pending.is_empty() {
+        if group.is_empty() {
             return;
         }
-        let mut epochs: Vec<u32> = pending.iter().map(|&i| epoch_of(i)).collect();
-        epochs.sort_unstable();
-        epochs.dedup();
+        let same_epoch = |a: &usize, b: &usize| epoch_of(*a) == epoch_of(*b);
         // One past the last = everything pending survives intact.
-        let c = rng.gen_index(epochs.len() + 1);
-        let boundary = epochs.get(c).copied();
-        for &i in pending {
-            let e = epoch_of(i);
-            match boundary {
-                None => survivors.push(Survivor { frag: i, unit_mask: self.full_mask(i) }),
-                Some(b) if e < b => {
-                    survivors.push(Survivor { frag: i, unit_mask: self.full_mask(i) })
-                }
-                Some(b) if e == b => {
-                    if rng.gen_below(2) == 0 {
-                        let full = self.full_mask(i);
-                        let mask = if torn && rng.gen_below(4) == 0 {
-                            rng.next_u64() & full
-                        } else {
-                            full
-                        };
-                        if mask != 0 {
-                            survivors.push(Survivor { frag: i, unit_mask: mask });
+        let boundary = rng.gen_index(group.chunk_by(same_epoch).count() + 1);
+        for (rank, members) in group.chunk_by(same_epoch).enumerate() {
+            match rank.cmp(&boundary) {
+                std::cmp::Ordering::Less => survivors.extend(
+                    members.iter().map(|&i| Survivor { frag: i, unit_mask: self.full_mask(i) }),
+                ),
+                std::cmp::Ordering::Equal => {
+                    for &i in members {
+                        if rng.gen_below(2) == 0 {
+                            self.keep_boundary(i, rng, survivors, torn);
                         }
                     }
                 }
-                Some(_) => {}
+                std::cmp::Ordering::Greater => break,
             }
         }
     }
@@ -384,89 +425,51 @@ impl FragmentSet {
         if case.point > self.events_len {
             return false;
         }
-        let pending = self.pending(model, case.point);
-        let kept: std::collections::BTreeMap<usize, u64> =
+        let mut kept: Vec<(usize, u64)> =
             case.survivors.iter().map(|s| (s.frag, s.unit_mask)).collect();
-        if kept.len() != case.survivors.len() {
+        kept.sort_unstable();
+        if kept.windows(2).any(|w| w[0].0 == w[1].0) {
             return false; // duplicate fragment
         }
-        for s in &case.survivors {
-            if !pending.contains(&s.frag) {
-                return false;
-            }
-            if s.unit_mask == 0 || s.unit_mask & !self.full_mask(s.frag) != 0 {
-                return false;
-            }
-        }
-
-        let prefix_ok = |group: &[usize]| -> bool {
-            // Survivors must be a prefix; only the last kept may be torn.
-            let mut seen_gap = false;
-            let mut last_kept: Option<usize> = None;
-            for &i in group {
-                match kept.get(&i) {
-                    Some(_) if seen_gap => return false,
-                    Some(_) => last_kept = Some(i),
-                    None => seen_gap = true,
-                }
-            }
-            for &i in group {
-                if let Some(&mask) = kept.get(&i) {
-                    if mask != self.full_mask(i) && Some(i) != last_kept {
-                        return false;
-                    }
-                }
-            }
-            true
+        let admissible = |&(i, mask): &(usize, u64)| {
+            i < self.frags.len()
+                && self.is_pending(i, model, case.point)
+                && mask != 0
+                && mask & !self.full_mask(i) == 0
         };
+        if !kept.iter().all(admissible) {
+            return false;
+        }
+        let mask_of = |i: usize| kept.binary_search_by_key(&i, |&(f, _)| f).ok().map(|k| kept[k].1);
+
+        // Survivors must be a prefix; only the last kept may be torn.
+        let prefix_ok = |group: &[usize]| -> bool {
+            let n = group.iter().take_while(|&&i| mask_of(i).is_some()).count();
+            group[n..].iter().all(|&i| mask_of(i).is_none())
+                && group[..n.saturating_sub(1)]
+                    .iter()
+                    .all(|&i| mask_of(i) == Some(self.full_mask(i)))
+        };
+        // Everything below the highest kept epoch is kept whole; the
+        // boundary epoch takes any subset and masks, above it is dropped.
         let epoch_ok = |group: &[usize], epoch_of: &dyn Fn(usize) -> u32| -> bool {
-            let Some(boundary) = group
-                .iter()
-                .filter(|i| kept.contains_key(i))
-                .map(|&i| epoch_of(i))
-                .max()
-            else {
+            let boundary =
+                group.iter().filter(|&&i| mask_of(i).is_some()).map(|&i| epoch_of(i)).max();
+            let Some(boundary) = boundary else {
                 return true; // nothing kept: dropping everything is legal
             };
-            group.iter().all(|&i| {
-                let e = epoch_of(i);
-                match kept.get(&i) {
-                    Some(&mask) if e < boundary => mask == self.full_mask(i),
-                    None if e < boundary => false,
-                    _ => true, // boundary epoch: any subset / mask; above: dropped
-                }
-            })
+            group.iter().all(|&i| epoch_of(i) >= boundary || mask_of(i) == Some(self.full_mask(i)))
         };
 
+        let pending = self.pending(model, case.point);
         match model {
             Model::Strict => prefix_ok(&pending),
             Model::StrictRmo | Model::Bpfs => {
-                let mut lines: Vec<u64> = pending.iter().map(|&i| self.frags[i].line).collect();
-                lines.sort_unstable();
-                lines.dedup();
-                lines.iter().all(|&l| {
-                    let group: Vec<usize> = pending
-                        .iter()
-                        .copied()
-                        .filter(|&i| self.frags[i].line == l)
-                        .collect();
-                    prefix_ok(&group)
-                })
+                self.line_major(&pending).chunk_by(|&a, &b| self.same_line(a, b)).all(prefix_ok)
             }
-            Model::Epoch => epoch_ok(&pending, &|i| self.frags[i].epoch),
-            Model::Strand => {
-                let mut strands: Vec<u32> = pending.iter().map(|&i| self.frags[i].strand).collect();
-                strands.sort_unstable();
-                strands.dedup();
-                strands.iter().all(|&s| {
-                    let group: Vec<usize> = pending
-                        .iter()
-                        .copied()
-                        .filter(|&i| self.frags[i].strand == s)
-                        .collect();
-                    epoch_ok(&group, &|i| self.frags[i].strand_epoch)
-                })
-            }
+            Model::Strand => pending
+                .chunk_by(|&a, &b| self.same_strand(a, b))
+                .all(|strand| epoch_ok(strand, &|i| self.frags[i].strand_epoch)),
             _ => epoch_ok(&pending, &|i| self.frags[i].epoch),
         }
     }
@@ -518,12 +521,13 @@ impl FragmentSet {
 
     /// Cache lines of pending fragments that `case` drops or tears.
     pub fn dropped_lines(&self, model: Model, case: &CrashCase) -> Vec<u64> {
-        let kept: std::collections::BTreeMap<usize, u64> =
-            case.survivors.iter().map(|s| (s.frag, s.unit_mask)).collect();
+        let kept_whole = |i: usize| {
+            let last = case.survivors.iter().rev().find(|s| s.frag == i);
+            last.is_some_and(|s| s.unit_mask == self.full_mask(i))
+        };
         let mut lines: Vec<u64> = self
-            .pending(model, case.point)
-            .into_iter()
-            .filter(|i| kept.get(i) != Some(&self.full_mask(*i)))
+            .pending_iter(model, case.point)
+            .filter(|&i| !kept_whole(i))
             .map(|i| self.frags[i].line)
             .collect();
         lines.sort_unstable();
@@ -546,8 +550,7 @@ impl FragmentSet {
         // what is still pending at the earlier point.
         for p in 0..best.point {
             let survivors: Vec<Survivor> = self
-                .pending(model, p)
-                .into_iter()
+                .pending_iter(model, p)
                 .filter_map(|i| {
                     if self.is_durable(i, model, best.point) {
                         return Some(Survivor { frag: i, unit_mask: self.full_mask(i) });
