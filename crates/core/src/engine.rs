@@ -1,25 +1,23 @@
 //! Generic persist-order constraint propagation over a trace.
 //!
-//! Implements the per-model propagation rules of §5 against any
+//! Implements a model's [`Rules`](crate::rules::Rules) against any
 //! [`Domain`](crate::domain::Domain):
 //!
 //! - **Thread state**: `prev` holds constraints that order all *future*
 //!   persists of the thread; `cur` accumulates constraints observed since
-//!   the last persist barrier. Strict persistency folds `cur` into `prev`
-//!   after every access (every access is "barrier-separated"); epoch-style
-//!   models fold at `PersistBarrier`; strand persistency additionally
-//!   clears both at `NewStrand`.
+//!   the last barrier. The rules' `order` says which event folds `cur` into
+//!   `prev`, and `strands()` whether `NewStrand` clears both.
 //! - **Memory state**: each tracking-granularity block records the
 //!   constraint carried by its last writer and by readers since that write.
-//!   Conflicting accesses inherit these per the model's conflict-detection
-//!   rules (SC for strict/epoch; TSO-style persistent-space-only for BPFS;
-//!   strong-persist-atomicity-only for strand).
+//!   Accesses inherit these per the rules' `conflicts`, in the address
+//!   spaces it `tracks`.
 //! - **Coalescing**: every persist attempts to coalesce with the last
 //!   persist to its atomic-persist block; it may iff none of its incoming
 //!   dependences is newer than that persist.
 
 use crate::domain::{Domain, EventRef, WriteRec};
-use crate::{AnalysisConfig, Model};
+use crate::rules::{Conflicts, Order};
+use crate::AnalysisConfig;
 use mem_trace::{Event, Op};
 use persist_mem::FxHashMap;
 use std::collections::hash_map::Entry;
@@ -91,19 +89,12 @@ impl<D: Domain> Scratch<D> {
     pub(crate) fn reset(&mut self, dom: &D, thread_count: usize) {
         self.blocks.clear();
         self.last_persist.clear();
-        self.threads.truncate(thread_count);
-        for ts in &mut self.threads {
-            ts.prev = dom.bottom();
-            ts.cur = dom.bottom();
-            ts.work = None;
-        }
-        for _ in self.threads.len()..thread_count {
-            self.threads.push(ThreadState {
-                prev: dom.bottom(),
-                cur: dom.bottom(),
-                work: None,
-            });
-        }
+        self.threads.clear();
+        self.threads.resize_with(thread_count, || ThreadState {
+            prev: dom.bottom(),
+            cur: dom.bottom(),
+            work: None,
+        });
     }
 }
 
@@ -181,7 +172,7 @@ fn push_events<D: Domain>(
     state: &mut RunState,
     events: &[Event],
 ) -> io::Result<()> {
-    let model = config.model;
+    let rules = config.model.rules();
     let tracking = config.tracking;
     let atomic = config.atomic_persist;
 
@@ -201,7 +192,6 @@ fn push_events<D: Domain>(
         }
         match e.op {
             Op::Load { addr, len, .. } | Op::Store { addr, len, .. } | Op::Rmw { addr, len, .. } => {
-                let is_read = e.op.is_read();
                 let is_write = e.op.is_write();
                 let is_persist = e.op.is_persist();
 
@@ -217,22 +207,21 @@ fn push_events<D: Domain>(
                 let mut fast: Option<&mut BlockState<D>> = None;
                 if single {
                     let blk = tracking.block_of(addr);
-                    if block_participates(model, blk.space) {
+                    if rules.tracks(blk.space) {
                         let bs =
                             blocks.entry(blk.to_bits()).or_insert_with(|| BlockState {
                                 writer: dom.bottom(),
                                 readers: dom.bottom(),
                             });
-                        inherit(dom, model, input, bs, is_read, is_write);
+                        inherit(dom, rules.conflicts, input, bs, is_write);
                         fast = Some(bs);
                     }
                 } else {
-                    for blk in tracking.blocks_of(addr, len as u64) {
-                        if !block_participates(model, blk.space) {
-                            continue;
-                        }
+                    for blk in
+                        tracking.blocks_of(addr, len as u64).filter(|b| rules.tracks(b.space))
+                    {
                         if let Some(bs) = blocks.get(&blk.to_bits()) {
-                            inherit(dom, model, input, bs, is_read, is_write);
+                            inherit(dom, rules.conflicts, input, bs, is_write);
                         }
                     }
                 }
@@ -288,39 +277,30 @@ fn push_events<D: Domain>(
                 // 3. Update block state.
                 if single {
                     if let Some(bs) = fast {
-                        update(dom, model, out, bs, is_write, persist_ref);
+                        update(dom, rules.conflicts, out, bs, is_write, persist_ref);
                     }
                 } else {
-                    for blk in tracking.blocks_of(addr, len as u64) {
-                        if !block_participates(model, blk.space) {
-                            continue;
-                        }
+                    for blk in
+                        tracking.blocks_of(addr, len as u64).filter(|b| rules.tracks(b.space))
+                    {
                         let bs = blocks.entry(blk.to_bits()).or_insert_with(|| BlockState {
                             writer: dom.bottom(),
                             readers: dom.bottom(),
                         });
-                        update(dom, model, out, bs, is_write, persist_ref);
+                        update(dom, rules.conflicts, out, bs, is_write, persist_ref);
                     }
                 }
 
-                // 4. Update thread state.
-                match model {
-                    Model::Strict => {
-                        // Every access is ordered with its successors.
-                        let prev = &mut threads[t].prev;
-                        dom.join(prev, out);
-                    }
-                    Model::StrictRmo | Model::Epoch | Model::Bpfs | Model::Strand => {
-                        let cur = &mut threads[t].cur;
-                        dom.join(cur, out);
-                    }
-                }
+                // 4. Update thread state: the access orders the thread's
+                //    later persists now, or at the next barrier.
+                let ThreadState { prev, cur, .. } = &mut threads[t];
+                dom.join(if rules.order == Order::EveryAccess { prev } else { cur }, out);
             }
             Op::PersistBarrier => {
                 stats.barriers += 1;
-                // Under strict persistency on relaxed consistency there are
-                // no persist barriers: persistency is the consistency model.
-                if model != Model::StrictRmo {
+                // Persistency coupled to relaxed consistency has no persist
+                // barriers of its own.
+                if rules.order != Order::MemBarrier {
                     fold_epoch(dom, &mut threads[t], index);
                 }
             }
@@ -332,24 +312,20 @@ fn push_events<D: Domain>(
                 fold_epoch(dom, &mut threads[t], index);
             }
             Op::MemBarrier => {
-                // A consistency barrier orders store visibility; only
-                // strict persistency on a relaxed model derives persist
-                // order from it. (Under SC-strict everything is already
-                // ordered; epoch/strand persistency explicitly decouple
-                // store visibility from persist order, §4.2.)
-                if model == Model::StrictRmo {
+                // A consistency barrier orders store visibility, which is
+                // persist order only where persistency is coupled to it
+                // (§4.2).
+                if rules.order == Order::MemBarrier {
                     fold_epoch(dom, &mut threads[t], index);
                 }
             }
             Op::NewStrand => {
                 stats.strands += 1;
-                if model == Model::Strand {
+                if rules.strands() {
                     let st = &mut threads[t];
                     dom.reset_dep(&mut st.prev);
                     dom.reset_dep(&mut st.cur);
                 }
-                // Other models ignore strand barriers, exactly as a
-                // machine without strand support would.
             }
             Op::WorkBegin { id } => threads[t].work = Some(id),
             Op::WorkEnd { .. } => {
@@ -372,52 +348,35 @@ fn fold_epoch<D: Domain>(dom: &mut D, st: &mut ThreadState<D>, index: usize) {
 }
 
 /// Folds the conflict constraints a block's state imposes on an incoming
-/// access into `input`, per the model's conflict-detection rules.
+/// access into `input`: every access is ordered after the block's last
+/// write record, and under SC conflicts a write also after every read
+/// since (load-before-store).
 #[inline]
 fn inherit<D: Domain>(
     dom: &mut D,
-    model: Model,
+    conflicts: Conflicts,
     input: &mut D::Dep,
     bs: &BlockState<D>,
-    is_read: bool,
     is_write: bool,
 ) {
-    match model {
-        Model::Strict | Model::StrictRmo | Model::Epoch => {
-            // SC conflicts: a read is ordered after the last write; a write
-            // after the last write and all reads since (load-before-store).
-            if is_read || is_write {
-                dom.join(input, &bs.writer);
-            }
-            if is_write {
-                dom.join(input, &bs.readers);
-            }
-        }
-        Model::Bpfs => {
-            // TSO-style: only the last persist's record is visible;
-            // read-before-write races are not detected.
-            dom.join(input, &bs.writer);
-        }
-        Model::Strand => {
-            // Only strong persist atomicity: the block state carries the
-            // last persist itself.
-            dom.join(input, &bs.writer);
-        }
+    dom.join(input, &bs.writer);
+    if is_write && conflicts == Conflicts::Sc {
+        dom.join(input, &bs.readers);
     }
 }
 
-/// Records an access's outgoing constraint in a block's state, per model.
+/// Records an access's outgoing constraint in a block's state.
 #[inline]
 fn update<D: Domain>(
     dom: &mut D,
-    model: Model,
+    conflicts: Conflicts,
     out: &D::Dep,
     bs: &mut BlockState<D>,
     is_write: bool,
     persist_ref: Option<D::PRef>,
 ) {
-    match model {
-        Model::Strict | Model::StrictRmo | Model::Epoch => {
+    match conflicts {
+        Conflicts::Sc => {
             if is_write {
                 bs.writer.clone_from(out);
                 // The write's constraint dominates prior readers (they fed
@@ -427,35 +386,20 @@ fn update<D: Domain>(
                 dom.join(&mut bs.readers, out);
             }
         }
-        Model::Bpfs => {
+        Conflicts::PersistentWrites => {
             if is_write {
                 bs.writer.clone_from(out);
             }
             // Reads leave no record: the R→W race is the conflict BPFS's
             // per-line epoch tags miss.
         }
-        Model::Strand => {
-            // Only the persist itself is remembered: strong persist
-            // atomicity orders persists to the same address, and reads
-            // inherit the last persist (the §5.3 "read then barrier then
-            // persist" idiom) — but non-persist context never flows through
-            // memory.
+        Conflicts::LastPersist => {
+            // Only the persist itself is remembered: reads inherit the last
+            // persist (the §5.3 "read then barrier then persist" idiom), but
+            // non-persist context never flows through memory.
             if let Some(p) = persist_ref {
                 dom.assign_pref(&mut bs.writer, p);
             }
         }
-    }
-}
-
-/// Which address spaces participate in conflict tracking under each model.
-fn block_participates(model: Model, space: persist_mem::Space) -> bool {
-    match model {
-        // Coherent models inherit order through volatile memory too (§4:
-        // loads and stores to the volatile address space may still order
-        // persists).
-        Model::Strict | Model::StrictRmo | Model::Epoch => true,
-        // BPFS tracks only the persistent address space (§5.2); strand
-        // ordering arises only from strong persist atomicity.
-        Model::Bpfs | Model::Strand => space == persist_mem::Space::Persistent,
     }
 }

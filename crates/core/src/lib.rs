@@ -10,13 +10,8 @@
 //! This crate implements the paper's models and its entire evaluation
 //! machinery:
 //!
-//! - [`Model`] — the persistency models: [`Model::Strict`] (persistent
-//!   memory order ≡ volatile SC order), [`Model::Epoch`] (persist barriers
-//!   divide execution into epochs; SC conflict detection), [`Model::Bpfs`]
-//!   (the BPFS variant of §5.2 with TSO-style conflict detection on the
-//!   persistent space only), and [`Model::Strand`] (strand barriers clear
-//!   inherited dependences; only strong persist atomicity orders across
-//!   strands),
+//! - [`Model`] — the five persistency models, and [`rules`], the one table
+//!   of which orderings each keeps that every engine and consumer reads,
 //! - [`timing`] — the persist ordering constraint **critical path**
 //!   simulator (§7), with persist coalescing at configurable atomic-persist
 //!   granularity and conflict detection at configurable tracking
@@ -70,6 +65,7 @@ mod model;
 pub mod observer;
 pub mod partition;
 pub mod profile;
+pub mod rules;
 pub mod smallvec;
 pub mod throughput;
 pub mod timing;

@@ -5,26 +5,12 @@ use persist_mem::{AtomicPersistSize, TrackingGranularity};
 
 /// A memory persistency model (§5 of the paper).
 ///
-/// All models assume sequential consistency as the underlying memory
-/// consistency model, as in the paper's evaluation. They successively relax
-/// persist ordering:
-///
-/// - [`Model::Strict`] — persistent memory order is identical to volatile
-///   memory order: every persist is ordered after everything the issuing
-///   thread has done or observed.
-/// - [`Model::Epoch`] — persist barriers split each thread into epochs;
-///   persists within an epoch are concurrent. Conflicting accesses (to
-///   volatile *or* persistent memory, detected under SC) order persists
-///   across threads, and strong persist atomicity serializes persists to
-///   the same address.
-/// - [`Model::Bpfs`] — the BPFS point in the design space (§5.2): like
-///   epoch persistency but conflicts are tracked only on the persistent
-///   address space and only write→read / write→write conflicts are
-///   detected (TSO-style; the load-before-store race is missed).
-/// - [`Model::Strand`] — strand barriers (`NewStrand`) clear all
-///   previously observed dependences; persist barriers order only within a
-///   strand, and across strands/threads only strong persist atomicity
-///   orders persists.
+/// The models successively relax persist ordering. [`Model::Strict`],
+/// [`Model::Epoch`], [`Model::Bpfs`] and [`Model::Strand`] assume
+/// sequential consistency, as in the paper's evaluation;
+/// [`Model::StrictRmo`] couples strict persistency to a relaxed
+/// consistency model. Which orderings each model keeps is the table in
+/// [`crate::rules`], read through [`Model::rules`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Model {

@@ -317,8 +317,7 @@ impl CellTelemetry {
         let track = tracefmt::recording().then(|| {
             let si =
                 Structure::ALL.iter().position(|&s| s == cell.structure).unwrap_or(0) as u64;
-            let mi = Model::ALL.iter().position(|&m| m == cell.model).unwrap_or(0) as u64;
-            let tid = si * (Model::ALL.len() as u64 + 1) + mi + 1;
+            let tid = si * (Model::ALL.len() as u64 + 1) + cell.model.index() as u64 + 1;
             tracefmt::name_process(PFI_PID, "crash-fuzz");
             tracefmt::name_thread(
                 PFI_PID,

@@ -10,31 +10,12 @@
 //! - **pending** — written but not guaranteed; the crash may keep or drop
 //!   it, subject to the model's ordering constraints.
 //!
-//! Durability rules: under epoch, BPFS and strand persistency a fragment
-//! is durable once a *flush* covering its line (issued after the store)
-//! has been followed by a *fence* — for strand, a fence on the same strand
-//! as the flush. Under strict and strict-RMO persistency the ISA has no
-//! flush; we read the backend's fence as the model's sync point, so a
-//! fragment is durable once any fence follows its store.
-//!
-//! Drop rules for pending fragments (what [`FragmentSet::draw`] samples
-//! and [`FragmentSet::is_legal`] admits):
-//!
-//! - **strict** — persists happen in store order, so the survivors are a
-//!   prefix of the pending fragments in sequence order.
-//! - **strict-rmo** — same-thread store order is only enforced across
-//!   memory barriers; absent those, per-line order survives (strong
-//!   persist atomicity) but lines are mutually unordered: an independent
-//!   sequence-prefix per cache line.
-//! - **epoch** — fences delimit epochs; persists of epoch `e` all happen
-//!   before any persist of epoch `e' > e`. Survivors are epoch-downward
-//!   closed: everything below a boundary epoch survives, an arbitrary
-//!   subset of the boundary epoch survives, everything above is dropped.
-//! - **bpfs** — epoch ordering is enforced per cache line (the BPFS
-//!   commit protocol orders epochs through the line it touches): modeled
-//!   as per-line prefixes, as strict-rmo.
-//! - **strand** — the epoch rule applies within each strand
-//!   independently; fragments on different strands are unordered.
+//! Which rule makes a fragment durable, and which subsets of the pending
+//! fragments a crash may keep, are the model's [`Rules`]: a fence after
+//! the store, or after a flush covering its line (on the flush's strand,
+//! under strands); a global prefix, a prefix per line, or a
+//! downward-closed set of epochs (per strand). [`FragmentSet::draw`]
+//! samples those subsets and [`FragmentSet::is_legal`] admits them.
 //!
 //! With torn persists enabled, fragments at the drop boundary (the last
 //! survivor under a prefix rule; boundary-epoch members under an epoch
@@ -61,6 +42,7 @@
 use crate::shadow::{Recording, ShadowEvent};
 use mem_trace::rng::SmallRng;
 use persist_mem::{AtomicPersistSize, MemAddr, MemoryImage, CACHE_LINE_BYTES};
+use persistency::rules::{Rules, Survivors};
 use persistency::Model;
 
 /// The durability rules, as indices into per-rule arrays: a fence after
@@ -74,12 +56,12 @@ const RULES: usize = 3;
 /// The durability point of a fragment that never becomes durable.
 const NEVER: u32 = u32::MAX;
 
-/// The durability rule `model` reads.
-fn rule(model: Model) -> usize {
-    match model {
-        Model::Strict | Model::StrictRmo => FENCE,
-        Model::Strand => STRAND_FENCE,
-        _ => FLUSH_FENCE, // epoch, bpfs
+/// The durability rule `rules` select.
+fn durability(rules: Rules) -> usize {
+    match (rules.needs_flush(), rules.strands()) {
+        (false, _) => FENCE,
+        (true, false) => FLUSH_FENCE,
+        (true, true) => STRAND_FENCE,
     }
 }
 
@@ -98,8 +80,6 @@ pub struct Fragment {
     pub epoch: u32,
     /// Strand id at the store.
     pub strand: u32,
-    /// Fence count within the strand at the store.
-    pub strand_epoch: u32,
     /// First event index whose execution makes the fragment durable, per
     /// durability rule; [`NEVER`] if none does.
     durable: [u32; RULES],
@@ -109,7 +89,7 @@ impl Fragment {
     /// The event index after which this fragment is guaranteed durable
     /// under `model`, if any.
     pub fn durable_at(&self, model: Model) -> Option<usize> {
-        let d = self.durable[rule(model)];
+        let d = self.durable[durability(model.rules())];
         (d != NEVER).then_some(d as usize)
     }
 
@@ -139,21 +119,13 @@ pub struct CrashCase {
     pub survivors: Vec<Survivor>,
 }
 
-/// One durability rule's pending index. Fragment `i` is pending at crash
-/// point `p` iff `event(i) < p <= durable[i]`.
-#[derive(Debug, Clone)]
-struct PendingIndex {
-    /// Each fragment's durability point under the rule ([`NEVER`] if none).
-    durable: Vec<u32>,
-    /// Running maximum of `durable` in store order.
-    durable_max: Vec<u32>,
-}
-
 /// The per-line fragments of a recording, with durability metadata.
 #[derive(Debug, Clone)]
 pub struct FragmentSet {
     frags: Vec<Fragment>,
-    index: [PendingIndex; RULES],
+    /// Per durability rule, the running maximum of the fragments'
+    /// durability points in store order: the pending index.
+    durable_max: [Vec<u32>; RULES],
     events_len: usize,
     unit: u64,
 }
@@ -173,20 +145,14 @@ impl FragmentSet {
     pub fn from_events(events: &[ShadowEvent], unit: AtomicPersistSize) -> Self {
         let line_sz = CACHE_LINE_BYTES;
         assert!(events.len() < NEVER as usize, "event indices must fit in u32");
-        // Tag every event with (epoch, strand, strand_epoch).
+        // Tag every event with (epoch, strand).
         let mut tags = Vec::with_capacity(events.len());
-        let (mut epoch, mut strand, mut strand_epoch) = (0u32, 0u32, 0u32);
+        let (mut epoch, mut strand) = (0u32, 0u32);
         for e in events {
-            tags.push((epoch, strand, strand_epoch));
+            tags.push((epoch, strand));
             match e {
-                ShadowEvent::Fence => {
-                    epoch += 1;
-                    strand_epoch += 1;
-                }
-                ShadowEvent::Strand => {
-                    strand += 1;
-                    strand_epoch = 0;
-                }
+                ShadowEvent::Fence => epoch += 1,
+                ShadowEvent::Strand => strand += 1,
                 _ => {}
             }
         }
@@ -194,7 +160,7 @@ impl FragmentSet {
         let mut frags = Vec::new();
         for (idx, e) in events.iter().enumerate() {
             let ShadowEvent::Store { addr, data } = e else { continue };
-            let (epoch, strand, strand_epoch) = tags[idx];
+            let (epoch, strand) = tags[idx];
             let mut off = 0usize;
             while off < data.len() {
                 let a = addr.add(off as u64);
@@ -208,7 +174,6 @@ impl FragmentSet {
                     line,
                     epoch,
                     strand,
-                    strand_epoch,
                     durable: [NEVER; RULES],
                 });
                 off += take;
@@ -245,18 +210,14 @@ impl FragmentSet {
             }
         }
 
-        let index = std::array::from_fn(|r| {
-            let durable: Vec<u32> = frags.iter().map(|f| f.durable[r]).collect();
-            let durable_max = durable
-                .iter()
-                .scan(0, |max, &d| {
-                    *max = d.max(*max);
-                    Some(*max)
-                })
-                .collect();
-            PendingIndex { durable, durable_max }
+        let durable_max = std::array::from_fn(|r| {
+            let running = frags.iter().scan(0, |max, f| {
+                *max = f.durable[r].max(*max);
+                Some(*max)
+            });
+            running.collect()
         });
-        FragmentSet { frags, index, events_len: events.len(), unit: unit.bytes() }
+        FragmentSet { frags, durable_max, events_len: events.len(), unit: unit.bytes() }
     }
 
     /// All fragments, in store (sequence) order.
@@ -275,28 +236,26 @@ impl FragmentSet {
         self.unit
     }
 
-    fn is_durable(&self, i: usize, model: Model, point: usize) -> bool {
-        (self.index[rule(model)].durable[i] as usize) < point
+    /// Whether fragment `i` is durable at `point` under durability rule
+    /// `r`.
+    fn is_durable(&self, r: usize, i: usize, point: usize) -> bool {
+        (self.frags[i].durable[r] as usize) < point
     }
 
-    fn is_pending(&self, i: usize, model: Model, point: usize) -> bool {
-        self.frags[i].event < point && !self.is_durable(i, model, point)
-    }
-
-    /// The pending fragments at `point`, in store order. Fragments written
-    /// before `point` are a prefix `..hi`; those before the first `lo`
-    /// whose running durability maximum reaches `point` are all durable.
-    /// Two binary searches find the window; a filter on it does the rest.
-    fn pending_iter(&self, model: Model, point: usize) -> impl Iterator<Item = usize> + '_ {
-        let ix = &self.index[rule(model)];
+    /// The pending fragments at `point` under durability rule `r`, in
+    /// store order. Fragments written before `point` are a prefix `..hi`;
+    /// those before the first `lo` whose running durability maximum
+    /// reaches `point` are all durable. Two binary searches find the
+    /// window; a filter on it does the rest.
+    fn pending_iter(&self, r: usize, point: usize) -> impl Iterator<Item = usize> + '_ {
         let hi = self.frags.partition_point(|f| f.event < point);
-        let lo = ix.durable_max[..hi].partition_point(|&d| (d as usize) < point);
-        (lo..hi).filter(move |&i| ix.durable[i] as usize >= point)
+        let lo = self.durable_max[r][..hi].partition_point(|&d| (d as usize) < point);
+        (lo..hi).filter(move |&i| !self.is_durable(r, i, point))
     }
 
     /// Indices of fragments pending (written, not durable) at `point`.
     pub fn pending(&self, model: Model, point: usize) -> Vec<usize> {
-        self.pending_iter(model, point).collect()
+        self.pending_iter(durability(model.rules()), point).collect()
     }
 
     fn full_mask(&self, i: usize) -> u64 {
@@ -309,46 +268,48 @@ impl FragmentSet {
     }
 
     /// `pending` reordered for the per-line prefix rules: ascending line,
-    /// store order within a line. Split it with [`FragmentSet::same_line`].
+    /// store order within a line. Split it with [`FragmentSet::lines`].
     fn line_major(&self, pending: &[usize]) -> Vec<usize> {
         let mut order = pending.to_vec();
         order.sort_unstable_by_key(|&i| (self.frags[i].line, i));
         order
     }
 
-    fn same_line(&self, a: usize, b: usize) -> bool {
-        self.frags[a].line == self.frags[b].line
+    /// A [`FragmentSet::line_major`] order split into one group per line.
+    fn lines<'a>(&'a self, order: &'a [usize]) -> impl Iterator<Item = &'a [usize]> + 'a {
+        order.chunk_by(|&a, &b| self.frags[a].line == self.frags[b].line)
     }
 
-    /// Strand ids never decrease in store order, so a store-ordered list
-    /// splits on this into one run per strand, in ascending strand order.
-    fn same_strand(&self, a: usize, b: usize) -> bool {
-        self.frags[a].strand == self.frags[b].strand
+    /// `pending` split into groups whose epochs order independently: one
+    /// per strand when `strands`, else all of it. Strand ids never
+    /// decrease in store order, so each strand is a contiguous run, and
+    /// inside one the global fence count orders its epochs.
+    fn epoch_groups<'a>(
+        &'a self,
+        pending: &'a [usize],
+        strands: bool,
+    ) -> impl Iterator<Item = &'a [usize]> + 'a {
+        pending.chunk_by(move |&a, &b| !strands || self.frags[a].strand == self.frags[b].strand)
     }
 
     /// Samples a crash case at `point`: a legal survivor subset of the
     /// pending fragments under `model`, optionally with torn boundary
     /// fragments.
     pub fn draw(&self, model: Model, point: usize, rng: &mut SmallRng, torn: bool) -> CrashCase {
+        let rules = model.rules();
         let pending = self.pending(model, point);
         let mut survivors = Vec::new();
-        match model {
-            Model::Strict => self.draw_prefix(&pending, rng, &mut survivors, torn),
-            Model::StrictRmo | Model::Bpfs => {
-                // Independent prefix per line.
-                for line in self.line_major(&pending).chunk_by(|&a, &b| self.same_line(a, b)) {
+        match rules.survivors() {
+            Survivors::Prefix => self.draw_prefix(&pending, rng, &mut survivors, torn),
+            Survivors::LinePrefix => {
+                for line in self.lines(&self.line_major(&pending)) {
                     self.draw_prefix(line, rng, &mut survivors, torn);
                 }
             }
-            Model::Strand => {
-                for strand in pending.chunk_by(|&a, &b| self.same_strand(a, b)) {
-                    let epoch_of = |i: usize| self.frags[i].strand_epoch;
-                    self.draw_epochwise(strand, epoch_of, rng, &mut survivors, torn);
+            Survivors::Epochs => {
+                for group in self.epoch_groups(&pending, rules.strands()) {
+                    self.draw_epochwise(group, rng, &mut survivors, torn);
                 }
-            }
-            _ => {
-                let epoch_of = |i: usize| self.frags[i].epoch;
-                self.draw_epochwise(&pending, epoch_of, rng, &mut survivors, torn);
             }
         }
         survivors.sort_unstable_by_key(|s| s.frag);
@@ -385,14 +346,13 @@ impl FragmentSet {
         }
     }
 
-    /// Epoch-downward-closed draw over `group` (store order, so `epoch_of`
-    /// never decreases along it): pick a boundary epoch, keep everything
+    /// Epoch-downward-closed draw over `group` (store order, so epochs
+    /// never decrease along it): pick a boundary epoch, keep everything
     /// below it, flip a coin (and possibly tear) inside it, drop everything
     /// above.
     fn draw_epochwise(
         &self,
         group: &[usize],
-        epoch_of: impl Fn(usize) -> u32,
         rng: &mut SmallRng,
         survivors: &mut Vec<Survivor>,
         torn: bool,
@@ -400,7 +360,7 @@ impl FragmentSet {
         if group.is_empty() {
             return;
         }
-        let same_epoch = |a: &usize, b: &usize| epoch_of(*a) == epoch_of(*b);
+        let same_epoch = |a: &usize, b: &usize| self.frags[*a].epoch == self.frags[*b].epoch;
         // One past the last = everything pending survives intact.
         let boundary = rng.gen_index(group.chunk_by(same_epoch).count() + 1);
         for (rank, members) in group.chunk_by(same_epoch).enumerate() {
@@ -422,9 +382,11 @@ impl FragmentSet {
 
     /// Whether `case` is a crash the model could actually produce.
     pub fn is_legal(&self, model: Model, case: &CrashCase) -> bool {
+        let rules = model.rules();
         if case.point > self.events_len {
             return false;
         }
+        let pending = self.pending(model, case.point);
         let mut kept: Vec<(usize, u64)> =
             case.survivors.iter().map(|s| (s.frag, s.unit_mask)).collect();
         kept.sort_unstable();
@@ -432,10 +394,7 @@ impl FragmentSet {
             return false; // duplicate fragment
         }
         let admissible = |&(i, mask): &(usize, u64)| {
-            i < self.frags.len()
-                && self.is_pending(i, model, case.point)
-                && mask != 0
-                && mask & !self.full_mask(i) == 0
+            pending.binary_search(&i).is_ok() && mask != 0 && mask & !self.full_mask(i) == 0
         };
         if !kept.iter().all(admissible) {
             return false;
@@ -452,7 +411,8 @@ impl FragmentSet {
         };
         // Everything below the highest kept epoch is kept whole; the
         // boundary epoch takes any subset and masks, above it is dropped.
-        let epoch_ok = |group: &[usize], epoch_of: &dyn Fn(usize) -> u32| -> bool {
+        let epoch_ok = |group: &[usize]| -> bool {
+            let epoch_of = |i: usize| self.frags[i].epoch;
             let boundary =
                 group.iter().filter(|&&i| mask_of(i).is_some()).map(|&i| epoch_of(i)).max();
             let Some(boundary) = boundary else {
@@ -461,16 +421,10 @@ impl FragmentSet {
             group.iter().all(|&i| epoch_of(i) >= boundary || mask_of(i) == Some(self.full_mask(i)))
         };
 
-        let pending = self.pending(model, case.point);
-        match model {
-            Model::Strict => prefix_ok(&pending),
-            Model::StrictRmo | Model::Bpfs => {
-                self.line_major(&pending).chunk_by(|&a, &b| self.same_line(a, b)).all(prefix_ok)
-            }
-            Model::Strand => pending
-                .chunk_by(|&a, &b| self.same_strand(a, b))
-                .all(|strand| epoch_ok(strand, &|i| self.frags[i].strand_epoch)),
-            _ => epoch_ok(&pending, &|i| self.frags[i].epoch),
+        match rules.survivors() {
+            Survivors::Prefix => prefix_ok(&pending),
+            Survivors::LinePrefix => self.lines(&self.line_major(&pending)).all(prefix_ok),
+            Survivors::Epochs => self.epoch_groups(&pending, rules.strands()).all(epoch_ok),
         }
     }
 
@@ -491,6 +445,7 @@ impl FragmentSet {
         model: Model,
         case: &CrashCase,
     ) {
+        let r = durability(model.rules());
         let kept: std::collections::BTreeMap<usize, u64> =
             case.survivors.iter().map(|s| (s.frag, s.unit_mask)).collect();
         img.clone_from(base);
@@ -498,7 +453,7 @@ impl FragmentSet {
             if f.event >= case.point {
                 continue;
             }
-            let mask = if self.is_durable(i, model, case.point) {
+            let mask = if self.is_durable(r, i, case.point) {
                 self.full_mask(i)
             } else {
                 match kept.get(&i) {
@@ -526,7 +481,7 @@ impl FragmentSet {
             last.is_some_and(|s| s.unit_mask == self.full_mask(i))
         };
         let mut lines: Vec<u64> = self
-            .pending_iter(model, case.point)
+            .pending_iter(durability(model.rules()), case.point)
             .filter(|&i| !kept_whole(i))
             .map(|i| self.frags[i].line)
             .collect();
@@ -544,15 +499,16 @@ impl FragmentSet {
         case: &CrashCase,
         mut still_fails: impl FnMut(&CrashCase) -> bool,
     ) -> CrashCase {
+        let r = durability(model.rules());
         let mut best = case.clone();
         // Phase 1: earliest failing crash point. Re-point the case by
         // keeping, of everything that materialized at the original point,
         // what is still pending at the earlier point.
         for p in 0..best.point {
             let survivors: Vec<Survivor> = self
-                .pending_iter(model, p)
+                .pending_iter(r, p)
                 .filter_map(|i| {
-                    if self.is_durable(i, model, best.point) {
+                    if self.is_durable(r, i, best.point) {
                         return Some(Survivor { frag: i, unit_mask: self.full_mask(i) });
                     }
                     best.survivors.iter().find(|s| s.frag == i).copied()

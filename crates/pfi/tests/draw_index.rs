@@ -105,13 +105,11 @@ impl Oracle<'_> {
         }
     }
 
-    fn epoch_of(&self, model: Model, i: usize) -> u32 {
-        let f = &self.fs.fragments()[i];
-        if model == Model::Strand {
-            f.strand_epoch
-        } else {
-            f.epoch
-        }
+    /// The epoch of fragment `i`. Groups are per strand under strand
+    /// persistency, and inside one strand the global fence count orders
+    /// epochs exactly as a count from the strand's start would.
+    fn epoch_of(&self, i: usize) -> u32 {
+        self.fs.fragments()[i].epoch
     }
 
     fn draw(&self, model: Model, point: usize, rng: &mut SmallRng, torn: bool) -> CrashCase {
@@ -149,13 +147,13 @@ impl Oracle<'_> {
                         continue;
                     }
                     let mut epochs: Vec<u32> =
-                        group.iter().map(|&i| self.epoch_of(model, i)).collect();
+                        group.iter().map(|&i| self.epoch_of(i)).collect();
                     epochs.sort_unstable();
                     epochs.dedup();
                     let c = rng.gen_index(epochs.len() + 1);
                     let boundary = epochs.get(c).copied();
                     for &i in &group {
-                        let e = self.epoch_of(model, i);
+                        let e = self.epoch_of(i);
                         match boundary {
                             Some(b) if e == b => {
                                 if rng.gen_below(2) == 0 {
@@ -210,14 +208,14 @@ impl Oracle<'_> {
                 let Some(boundary) = group
                     .iter()
                     .filter(|i| kept.contains_key(i))
-                    .map(|&i| self.epoch_of(model, i))
+                    .map(|&i| self.epoch_of(i))
                     .max()
                 else {
                     return true;
                 };
                 group.iter().all(|&i| match kept.get(&i) {
-                    Some(&m) if self.epoch_of(model, i) < boundary => m == self.full_mask(i),
-                    None if self.epoch_of(model, i) < boundary => false,
+                    Some(&m) if self.epoch_of(i) < boundary => m == self.full_mask(i),
+                    None if self.epoch_of(i) < boundary => false,
                     _ => true,
                 })
             }

@@ -9,27 +9,15 @@
 //! — and answers one question per operation: *when is this request
 //! durable?*
 //!
-//! The mapping from the paper's models to scheduling rules:
-//!
-//! - **strict** — every store is its own persist and the persist order is
-//!   the store order: each write starts no earlier than the previous
-//!   write's completion (a single global chain), and the front end is
-//!   *unbuffered* (the thread stalls until durability).
-//! - **strict-rmo** — store-granular persists, but only fences order them:
-//!   writes between two fences are concurrent (bank conflicts aside);
-//!   still unbuffered.
-//! - **epoch** — persists are issued at flush granularity, so same-line
-//!   stores within an epoch coalesce into one device write; a fence orders
-//!   whole epochs (every later persist starts after every earlier one
-//!   completes); the front end is *buffered* — the thread continues at CPU
-//!   speed and only the response waits for durability.
-//! - **bpfs** — epoch persistency with ordering enforced only where
-//!   commits actually overlap: a persist waits for the previous persist
-//!   *to the same cache line*, not for the whole previous epoch. Hot lines
-//!   (Zipf head keys, queue head pointers) still serialize.
-//! - **strand** — epoch rules within a strand, and the strand barrier the
-//!   native protocols issue at operation start discards all accumulated
-//!   dependences: operations only contend for banks.
+//! The model's [`Rules`] decide the schedule. Where a store needs no
+//! flush, it is its own device write and the front end is *unbuffered*
+//! (the thread stalls until durability); otherwise stores mark lines
+//! dirty, a flush turns each dirty line into one device write (same-line
+//! stores coalesce), and the front end is *buffered*. A write waits for
+//! its predecessor under [`DeviceOrder`]: the previous write (one chain),
+//! every write before the last fence, or the previous write to its line.
+//! A strand barrier discards the dependence horizon where the rules have
+//! strands.
 //!
 //! Times are `f64` nanoseconds. Everything here is deterministic given the
 //! call sequence, which is what makes the virtual-time smoke mode
@@ -37,14 +25,8 @@
 
 use nvram::DeviceConfig;
 use persist_mem::{DirectPmem, FxHashMap, MemAddr, PmemBackend, CACHE_LINE_BYTES};
+use persistency::rules::{DeviceOrder, Rules};
 use persistency::Model;
-
-/// Is the front end buffered (thread does not stall to durability) under
-/// this model? The paper's strict variants persist synchronously; the
-/// buffered models overlap persists with execution (§4.2).
-pub fn buffered(model: Model) -> bool {
-    !matches!(model, Model::Strict | Model::StrictRmo)
-}
 
 /// Aggregate device-side accounting for one shard.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -91,18 +73,18 @@ impl DeviceStats {
 #[derive(Debug, Clone)]
 pub struct ShardDevice {
     cfg: DeviceConfig,
-    model: Model,
+    rules: Rules,
     now_ns: f64,
     /// When each bank next becomes free.
     bank_free: Vec<f64>,
-    /// Everything a new persist must wait for under the current model
-    /// (previous persist under strict, previous fenced epochs otherwise).
+    /// Everything a new persist must wait for: the previous write under a
+    /// chain, every write before the last fence under fences.
     dep_horizon: f64,
     /// Max completion among persists issued since the last fence.
     epoch_max_done: f64,
     /// Max completion among persists issued by the current operation.
     op_max_done: f64,
-    /// Completion time of the last persist per line (BPFS ordering).
+    /// Completion time of the last persist per line (per-line ordering).
     line_last_done: FxHashMap<u64, f64>,
     /// Lines stored since their last flush (coalescing under the buffered
     /// models); tiny per operation, scanned linearly.
@@ -130,7 +112,7 @@ impl ShardDevice {
         ShardDevice {
             bank_free: vec![0.0; cfg.banks],
             cfg,
-            model,
+            rules: model.rules(),
             now_ns: 0.0,
             dep_horizon: 0.0,
             epoch_max_done: 0.0,
@@ -190,16 +172,13 @@ impl ShardDevice {
     pub fn end_group(&mut self, cpu_done_ns: f64) -> f64 {
         self.in_group = false;
         let mut flushed = 0usize;
-        if !matches!(self.model, Model::Strict | Model::StrictRmo) {
+        if self.rules.needs_flush() {
             // The closing barrier is issued once the batch's CPU work has
             // drained; each deferred line becomes one device write here no
             // matter how many requests stored to it.
             self.now_ns = self.now_ns.max(cpu_done_ns);
-            let mut i = 0;
-            while i < self.dirty.len() {
-                let line = self.dirty[i];
-                self.schedule(line);
-                i += 1;
+            for i in 0..self.dirty.len() {
+                self.schedule(self.dirty[i]);
             }
             flushed = self.dirty.len();
             self.dirty.clear();
@@ -235,11 +214,12 @@ impl ShardDevice {
     /// write latency.
     fn schedule(&mut self, line: u64) {
         let bank = self.cfg.bank_of_line(line);
-        let ready = match self.model {
-            Model::Bpfs => {
+        let order = self.rules.device();
+        let ready = match order {
+            DeviceOrder::Lines => {
                 self.now_ns.max(self.line_last_done.get(&line).copied().unwrap_or(0.0))
             }
-            _ => self.now_ns.max(self.dep_horizon),
+            DeviceOrder::Chain | DeviceOrder::Fences => self.now_ns.max(self.dep_horizon),
         };
         let start = ready.max(self.bank_free[bank]);
         if start > ready {
@@ -262,11 +242,9 @@ impl ShardDevice {
         self.epoch_max_done = self.epoch_max_done.max(done);
         self.op_max_done = self.op_max_done.max(done);
         self.stats.last_done_ns = self.stats.last_done_ns.max(done);
-        if self.model == Model::Strict {
-            // Strict persistency: a single global persist chain.
+        if order == DeviceOrder::Chain {
             self.dep_horizon = done;
-        }
-        if self.model == Model::Bpfs {
+        } else if order == DeviceOrder::Lines {
             self.line_last_done.insert(line, done);
         }
         *self.wear.entry(line).or_insert(0) += 1;
@@ -297,15 +275,12 @@ impl ShardDevice {
         let first = Self::line_of(addr);
         let last = Self::line_of(addr.add(len.max(1) - 1));
         for line in first..=last {
-            match self.model {
+            if !self.rules.needs_flush() {
                 // Store-granular persists: service immediately.
-                Model::Strict | Model::StrictRmo => self.schedule(line),
+                self.schedule(line);
+            } else if !self.dirty.contains(&line) {
                 // Flush-granular: just mark the line dirty.
-                _ => {
-                    if !self.dirty.contains(&line) {
-                        self.dirty.push(line);
-                    }
-                }
+                self.dirty.push(line);
             }
         }
     }
@@ -313,7 +288,7 @@ impl ShardDevice {
     /// A cache-line flush over `[addr, addr + len)`: under the buffered
     /// models this is where dirty lines become device writes.
     pub fn flush(&mut self, addr: MemAddr, len: u64) {
-        if matches!(self.model, Model::Strict | Model::StrictRmo) {
+        if !self.rules.needs_flush() {
             return; // already serviced at store time
         }
         if self.in_group {
@@ -334,20 +309,17 @@ impl ShardDevice {
     }
 
     /// A persist fence: later persists wait for everything fenced here —
-    /// except under BPFS, whose ordering is per-line, and strict, whose
-    /// chain already covers it.
+    /// unless writes are ordered per line, or by a chain that already
+    /// covers it.
     pub fn fence(&mut self) {
-        if self.in_group && !matches!(self.model, Model::Strict | Model::StrictRmo) {
+        if self.in_group && self.rules.needs_flush() {
             // Group persist: the request opted into group-granular
             // durability, so intra-group epoch boundaries dissolve into the
             // closing barrier — the amortization the batch is for.
             return;
         }
-        match self.model {
-            Model::Strict | Model::Bpfs => {}
-            _ => {
-                self.dep_horizon = self.dep_horizon.max(self.epoch_max_done);
-            }
+        if self.rules.device() == DeviceOrder::Fences {
+            self.dep_horizon = self.dep_horizon.max(self.epoch_max_done);
         }
         self.epoch_max_done = 0.0;
     }
@@ -355,7 +327,7 @@ impl ShardDevice {
     /// A strand barrier (§5.3): under strand persistency the accumulated
     /// dependences vanish — the next persist only contends for banks.
     pub fn strand(&mut self) {
-        if self.model == Model::Strand {
+        if self.rules.strands() {
             self.dep_horizon = 0.0;
             self.epoch_max_done = 0.0;
         }

@@ -31,7 +31,7 @@
 //! one to its arrival instant before feeding the same engine calls.
 //! Reported latency is `durable − arrival` either way.
 
-use crate::device::{buffered, DeviceStats};
+use crate::device::DeviceStats;
 use crate::gen::{route, shard_of, ArrivalLog, Op, OpKind, OpStream, Zipfian};
 use crate::shard::{Shard, StoreKind};
 use nvram::DeviceConfig;
@@ -284,7 +284,7 @@ impl ShardOutcome {
 /// model's position in [`Model::ALL`] plus one, stable across worker
 /// counts and shared with the knee sweep's probe markers.
 pub fn model_track(model: Model) -> u64 {
-    Model::ALL.iter().position(|&m| m == model).unwrap_or(0) as u64 + 1
+    model.index() as u64 + 1
 }
 
 /// One window's worth of a shard's series data.
@@ -484,6 +484,8 @@ impl Clock for Wall {
 struct ShardRun<'a, C: Clock> {
     cfg: &'a ServeConfig,
     clock: C,
+    /// Requests respond without waiting for durability: the model's
+    /// stores persist at flushes, behind the front end.
     buffered: bool,
     batch_cap: usize,
     shard: Shard,
@@ -518,7 +520,7 @@ impl<'a, C: Clock> ShardRun<'a, C> {
         ShardRun {
             cfg,
             clock,
-            buffered: buffered(model),
+            buffered: model.rules().needs_flush(),
             batch_cap,
             shard,
             tel,

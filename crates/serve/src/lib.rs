@@ -37,7 +37,7 @@ pub mod harness;
 pub mod knee;
 pub mod shard;
 
-pub use device::{buffered, DeviceStats, ShardDevice};
+pub use device::{DeviceStats, ShardDevice};
 pub use gen::{shard_of, Op, OpKind, OpStream, Zipfian};
 pub use harness::{run_model, run_models, ModelReport, Mode, ServeConfig};
 pub use knee::{find_knee, find_knees, KneeConfig, KneeLimit, KneeResult};
