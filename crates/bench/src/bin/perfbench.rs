@@ -265,7 +265,7 @@ fn main() {
         let p = TraceProfile::of_source(mapped.source()).unwrap();
         std::hint::black_box(p.events);
         for cfg in &analyze_configs {
-            let r = timing::analyze_source(mapped.source(), cfg).unwrap();
+            let r = timing::Analyzer::new().analyze_source(mapped.source(), cfg).unwrap();
             std::hint::black_box(r.critical_path);
         }
     });

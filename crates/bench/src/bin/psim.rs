@@ -5,17 +5,17 @@
 //!
 //! ```text
 //! psim capture --queue cwl --mode full --threads 2 --inserts 100 \
-//!              --seed 42 --out /tmp/run.trace [--format 1|2]
+//!              --seed 42 --out /tmp/run.trace
 //! psim analyze --trace /tmp/run.trace --model epoch [--atomic 64] [--tracking 8]
 //! psim cuts    --trace /tmp/run.trace --model epoch --samples 200
 //! psim crash   --trace /tmp/run.trace --model strand
 //! psim crash-fuzz --structure all --model all --injections 1000 --seed 7
 //! ```
 //!
-//! `capture` writes the compact MPTRACE2 format by default (`--format 1`
-//! selects the fixed-width MPTRACE1); every reading subcommand
-//! auto-detects either format. `analyze` streams events straight off the
-//! file, so it handles traces larger than memory. `capture` also writes a
+//! `capture` writes the compact MPTRACE2 format; every reading subcommand
+//! also reads the older fixed-width MPTRACE1. `analyze` and `cuts` decode
+//! a mapped MPTRACE2 file segment by segment, so they handle traces larger
+//! than memory. `capture` also writes a
 //! `.meta` sidecar recording the queue layout so `crash` can run the
 //! queue's recovery invariant later. `crash-fuzz` needs no trace: it
 //! drives the native protocols through the `pfi` shadow backend and
@@ -36,7 +36,8 @@ use persistency::crash::{check, Exploration};
 use persistency::dag::PersistDag;
 use persistency::observer::RecoveryObserver;
 use persistency::profile::LANES;
-use persistency::{partition, timing, AnalysisConfig, Model};
+use persistency::partition::{self, ChunkFeed, TraceChunks};
+use persistency::{AnalysisConfig, Model};
 use pfi::fuzz::{shard_ranges, CellPlan, FuzzCell, FuzzConfig, ShardReport, Structure};
 use pqueue::bounded::{bounded_crash_invariant, run_bounded_workload, BoundedLayout};
 use pqueue::recovery::crash_invariant;
@@ -45,7 +46,7 @@ use serve::harness::{render_json, render_table, run_models, Mode, ServeConfig};
 use serve::knee::{find_knees, render_knee_json, render_knee_table, KneeConfig};
 use serve::StoreKind;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::process::ExitCode;
 
 struct Args(Vec<String>);
@@ -115,34 +116,63 @@ fn parse_model(s: &str) -> Result<Model, String> {
         .ok_or_else(|| format!("unknown model {s}; use one of strict, strict-rmo, epoch, bpfs, strand"))
 }
 
-fn load_trace(path: &str) -> Result<Trace, String> {
-    let f = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-    trace_io::read_trace(BufReader::new(f)).map_err(|e| format!("read {path}: {e}"))
+/// A `--trace` input. An MPTRACE2 capture is memory-mapped and decoded
+/// segment by segment; anything else goes through `read_trace`, which
+/// loads an MPTRACE1 file into memory and reports the real error for
+/// bytes that are no trace.
+enum TraceInput {
+    Mapped(MappedTrace),
+    Loaded(Trace),
 }
 
-/// Opens a streaming reader over a serialized trace (either format).
-fn open_reader(path: &str) -> Result<trace_io::TraceReader<BufReader<File>>, String> {
-    let f = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-    trace_io::TraceReader::new(BufReader::new(f)).map_err(|e| format!("read {path}: {e}"))
-}
-
-/// Memory-maps an MPTRACE2 capture for zero-copy ingestion. `None` means
-/// the file is MPTRACE1 (or unreadable); callers fall back to the buffered
-/// reader, which reports the real error.
-fn open_mapped(path: &str) -> Option<MappedTrace> {
-    MappedTrace::open(path).ok()
-}
-
-/// Serializes a capture in the selected format (`2` = MPTRACE2, default).
-fn write_capture(trace: &Trace, out: &str, format: u64) -> Result<(), String> {
-    let f = File::create(out).map_err(|e| format!("create {out}: {e}"))?;
-    let w = BufWriter::new(f);
-    match format {
-        1 => trace_io::write_trace(trace, w),
-        2 => trace_io::write_trace2(trace, w),
-        other => return Err(format!("unknown --format {other}; use 1 or 2")),
+impl TraceInput {
+    fn open(path: &str) -> Result<Self, String> {
+        match MappedTrace::open(path) {
+            Ok(map) => Ok(TraceInput::Mapped(map)),
+            Err(_) => {
+                let f = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
+                let trace = trace_io::read_trace(BufReader::new(f))
+                    .map_err(|e| format!("read {path}: {e}"))?;
+                Ok(TraceInput::Loaded(trace))
+            }
+        }
     }
-    .map_err(|e| format!("write {out}: {e}"))
+
+    fn event_count(&self) -> u64 {
+        match self {
+            TraceInput::Mapped(map) => map.event_count(),
+            TraceInput::Loaded(trace) => trace.events().len() as u64,
+        }
+    }
+
+    /// Runs `f` over the input as chunks: a mapped file's segments, or a
+    /// loaded trace as one chunk.
+    fn with_feed<R>(&self, f: impl FnOnce(&dyn ChunkFeed) -> R) -> R {
+        match self {
+            TraceInput::Mapped(map) => f(map),
+            TraceInput::Loaded(trace) => f(&TraceChunks::new(trace, usize::MAX)),
+        }
+    }
+
+    /// The whole input as an in-memory trace.
+    fn into_trace(self) -> io::Result<Trace> {
+        match self {
+            TraceInput::Mapped(map) => map.collect(),
+            TraceInput::Loaded(trace) => Ok(trace),
+        }
+    }
+}
+
+/// Loads `--trace` as an in-memory trace, for commands that walk it more
+/// than once.
+fn load_trace(path: &str) -> Result<Trace, String> {
+    TraceInput::open(path)?.into_trace().map_err(|e| format!("read {path}: {e}"))
+}
+
+/// Serializes a capture as MPTRACE2.
+fn write_capture(trace: &Trace, out: &str) -> Result<(), String> {
+    let f = File::create(out).map_err(|e| format!("create {out}: {e}"))?;
+    trace_io::write_trace2(trace, BufWriter::new(f)).map_err(|e| format!("write {out}: {e}"))
 }
 
 fn config_from(args: &Args, model: Model) -> Result<AnalysisConfig, String> {
@@ -218,7 +248,6 @@ fn cmd_capture(args: &Args) -> Result<u64, String> {
     let seed = args.num("--seed", 42)?;
     let capacity = args.num("--capacity", (threads as u64 * inserts).next_power_of_two().max(64))?;
     let out = args.required("--out")?;
-    let format = args.num("--format", 2)?;
 
     let params = QueueParams::new(capacity);
     let (trace, layout): (Trace, QueueLayout) = match queue {
@@ -242,7 +271,7 @@ fn cmd_capture(args: &Args) -> Result<u64, String> {
                 inserts,
             );
             trace.validate_sc().map_err(|e| format!("non-SC capture: {e}"))?;
-            write_capture(&trace, out, format)?;
+            write_capture(&trace, out)?;
             let meta = format!(
                 "queue=bounded\nhead={}\ntail={}\ndata={}\ncapacity_entries={}\nrecovery_margin=0\n",
                 blayout.head.to_bits(),
@@ -264,7 +293,7 @@ fn cmd_capture(args: &Args) -> Result<u64, String> {
     };
     trace.validate_sc().map_err(|e| format!("capture produced a non-SC trace: {e}"))?;
 
-    write_capture(&trace, out, format)?;
+    write_capture(&trace, out)?;
     // Sidecar metadata for `crash`.
     let meta = format!(
         "queue={queue}\nhead={}\ndata={}\ncapacity_entries={}\nrecovery_margin={}\n",
@@ -307,11 +336,10 @@ fn load_layout(path: &str) -> Result<QueueLayout, String> {
 }
 
 fn cmd_analyze(args: &Args) -> Result<u64, String> {
-    // MPTRACE2 captures are memory-mapped and analyzed chunk-parallel: the
-    // segment index lets decode workers feed all model engines plus the
-    // profile pass off one shared in-order window. MPTRACE1 falls back to
-    // the buffered reader, one streaming pass per model. Either way the
-    // output below the meta line is byte-identical for any worker count.
+    // One pass feeds all model engines plus the profile. A mapped capture
+    // is decoded chunk-parallel: the segment index lets decode workers
+    // fill one shared in-order window. The output below the meta line is
+    // byte-identical for any worker count.
     let path = args.required("--trace")?;
     let timeline = arm_observability(args)?;
     let models: Vec<Model> = match args.get("--model") {
@@ -321,22 +349,9 @@ fn cmd_analyze(args: &Args) -> Result<u64, String> {
     let configs: Vec<AnalysisConfig> =
         models.iter().map(|&m| config_from(args, m)).collect::<Result<_, _>>()?;
     let runner = SweepRunner::from_env();
-    let (profile, reports) = match open_mapped(path) {
-        Some(map) => partition::analyze_full(&map, &configs, runner.workers())
-            .map_err(|e| format!("read {path}: {e}"))?,
-        None => {
-            let profile = mem_trace::profile::TraceProfile::of_source(open_reader(path)?)
-                .map_err(|e| format!("read {path}: {e}"))?;
-            let mut reports = Vec::with_capacity(configs.len());
-            for cfg in &configs {
-                reports.push(
-                    timing::analyze_source(open_reader(path)?, cfg)
-                        .map_err(|e| format!("read {path}: {e}"))?,
-                );
-            }
-            (profile, reports)
-        }
-    };
+    let (profile, reports) = TraceInput::open(path)?
+        .with_feed(|feed| partition::analyze_full(feed, &configs, runner.workers()))
+        .map_err(|e| format!("read {path}: {e}"))?;
     let passes = models.len() as u64;
     let meta = RunMeta::collect(runner.workers(), runner.effective_workers(configs.len() + 1));
     if args.has("--json") {
@@ -404,22 +419,15 @@ fn cmd_cuts(args: &Args) -> Result<u64, String> {
     let model = parse_model(args.get("--model").unwrap_or("epoch"))?;
     let samples = args.num("--samples", 100)? as usize;
     let cfg = config_from(args, model)?;
-    // The DAG build consumes events in stream order, so an mmap'd capture
-    // can feed it through the decode-parallel window without loading the
-    // event vector; MPTRACE1 still goes through the in-memory path.
-    let (dag, events) = match open_mapped(path) {
-        Some(map) => {
-            let events = map.event_count();
-            let workers = SweepRunner::from_env().workers();
-            let dag = partition::build_dag(&map, &cfg, workers).map_err(|e| e.to_string())?;
-            (dag, events)
-        }
-        None => {
-            let trace = load_trace(path)?;
-            let events = trace.events().len() as u64;
-            (PersistDag::build(&trace, &cfg).map_err(|e| e.to_string())?, events)
-        }
-    };
+    // The DAG build consumes events in stream order, so a mapped capture
+    // feeds it through the decode-parallel window without loading the
+    // event vector.
+    let input = TraceInput::open(path)?;
+    let workers = SweepRunner::from_env().workers();
+    let dag = input
+        .with_feed(|feed| partition::build_dag(feed, &cfg, workers))
+        .map_err(|e| e.to_string())?;
+    let events = input.event_count();
     let obs = RecoveryObserver::new(&dag);
     let cuts = obs.sample_cuts(args.num("--seed", 1)?, samples);
     let sizes: Vec<usize> = cuts.iter().map(|c| c.len()).collect();
@@ -598,12 +606,8 @@ fn cmd_crash_fuzz(args: &Args) -> Result<u64, String> {
 fn cmd_profile(args: &Args) -> Result<u64, String> {
     let path = args.required("--trace")?;
     // Profiling walks the trace several times (DAG build, baseline, one
-    // pass per lane group of barrier what-ifs), so materialize it — via
-    // mmap when the capture is MPTRACE2.
-    let trace = match open_mapped(path) {
-        Some(map) => map.collect().map_err(|e| format!("read {path}: {e}"))?,
-        None => load_trace(path)?,
-    };
+    // pass per lane group of barrier what-ifs), so materialize it.
+    let trace = load_trace(path)?;
     let model = parse_model(args.get("--model").unwrap_or("epoch"))?;
     let cfg = config_from(args, model)?;
     let top = args.num("--top", 10)? as usize;
@@ -722,7 +726,7 @@ fn cmd_serve(args: &Args) -> Result<u64, String> {
 fn usage() -> String {
     "usage: psim <capture|analyze|cuts|crash|crash-fuzz|profile|serve> [flags]\n\
      capture:    --queue cwl|2lc|bounded [--mode full|racing] [--threads N] [--inserts N]\n\
-                 [--seed N] [--capacity N] --out FILE [--format 1|2]  (2 = compact MPTRACE2)\n\
+                 [--seed N] [--capacity N] --out FILE  (writes MPTRACE2)\n\
      analyze:    --trace FILE [--model NAME] [--atomic N] [--tracking N] [--json]\n\
      cuts:       --trace FILE [--model NAME] [--samples N] [--seed N] [--json]\n\
      crash:      --trace FILE [--model NAME] [--samples N] [--seed N] [--json]\n\

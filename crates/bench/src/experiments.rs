@@ -180,9 +180,7 @@ pub fn fig3_latency(runner: &SweepRunner, inserts: u64, points: usize, instr: f6
 
     let models = [Model::Strict, Model::Epoch, Model::Strand];
     let cps = runner.run(&models, |_, &m| {
-        timing::analyze_source(trace.source(), &AnalysisConfig::new(m))
-            .expect("in-memory trace sources cannot fail")
-            .critical_path_per_work()
+        timing::analyze(&trace, &AnalysisConfig::new(m)).critical_path_per_work()
     });
     let events = models.len() as u64 * trace.events().len() as u64;
 
@@ -253,8 +251,7 @@ pub fn fig4_granularity(runner: &SweepRunner, inserts: u64) -> Experiment {
     let results = runner.run(&cells, |_, &(bytes, model)| {
         let atomic = AtomicPersistSize::new(bytes).expect("valid sweep size");
         let cfg = AnalysisConfig::new(model).with_atomic_persist(atomic);
-        let r = timing::analyze_source(trace.source(), &cfg)
-            .expect("in-memory trace sources cannot fail");
+        let r = timing::analyze(&trace, &cfg);
         (r.critical_path_per_work(), r.coalesce_rate())
     });
     let events = cells.len() as u64 * trace.events().len() as u64;
@@ -305,9 +302,7 @@ pub fn fig5_false_sharing(runner: &SweepRunner, inserts: u64) -> Experiment {
     let results = runner.run(&cells, |_, &(bytes, model)| {
         let tracking = TrackingGranularity::new(bytes).expect("valid sweep size");
         let cfg = AnalysisConfig::new(model).with_tracking(tracking);
-        timing::analyze_source(trace.source(), &cfg)
-            .expect("in-memory trace sources cannot fail")
-            .critical_path_per_work()
+        timing::analyze(&trace, &cfg).critical_path_per_work()
     });
     let events = cells.len() as u64 * trace.events().len() as u64;
 

@@ -12,6 +12,45 @@ fn tmp(name: &str) -> String {
     dir.join(name).to_string_lossy().into_owned()
 }
 
+/// Captures a two-thread racing CWL run of `inserts` inserts per thread
+/// (seed 42) as MPTRACE2 and returns its path.
+fn capture_racing(name: &str, inserts: u64) -> String {
+    let trace = tmp(name);
+    let out = psim()
+        .args([
+            "capture", "--queue", "cwl", "--mode", "racing", "--threads", "2", "--inserts",
+            &inserts.to_string(), "--seed", "42", "--out", &trace,
+        ])
+        .output()
+        .expect("run psim capture");
+    assert!(out.status.success(), "capture failed: {}", String::from_utf8_lossy(&out.stderr));
+    trace
+}
+
+/// Rewrites an MPTRACE2 capture as MPTRACE1 under `name` and returns
+/// that path.
+fn to_mptrace1(mptrace2: &str, name: &str) -> String {
+    let trace = mem_trace::mmapio::MappedTrace::open(mptrace2)
+        .and_then(|map| map.collect())
+        .expect("decode capture");
+    let path = tmp(name);
+    let file = std::fs::File::create(&path).expect("create MPTRACE1 file");
+    mem_trace::io::write_trace(&trace, std::io::BufWriter::new(file)).expect("write MPTRACE1");
+    path
+}
+
+/// Runs psim with `SWEEP_THREADS=threads` and returns its stdout without
+/// the single-line meta object, which records the worker count and time.
+fn below_meta(args: &[&str], threads: &str) -> String {
+    let out = psim().args(args).env("SWEEP_THREADS", threads).output().expect("run psim");
+    assert!(out.status.success(), "{args:?} failed: {}", String::from_utf8_lossy(&out.stderr));
+    String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .filter(|l| !l.starts_with("  \"meta\""))
+        .map(|l| format!("{l}\n"))
+        .collect()
+}
+
 #[test]
 fn capture_analyze_cuts_crash_roundtrip() {
     let trace = tmp("roundtrip.trace");
@@ -139,27 +178,9 @@ fn profile_json_is_byte_identical_across_worker_counts() {
 /// ```
 #[test]
 fn analyze_and_cuts_json_match_checked_in_fixtures() {
-    let trace = tmp("pinned.trace");
-    let out = psim()
-        .args([
-            "capture", "--queue", "cwl", "--mode", "racing", "--threads", "2", "--inserts",
-            "1200", "--seed", "42", "--out", &trace,
-        ])
-        .output()
-        .expect("run psim capture");
-    assert!(out.status.success(), "capture failed: {}", String::from_utf8_lossy(&out.stderr));
+    let trace = capture_racing("pinned.trace", 1200);
     let map = mem_trace::mmapio::MappedTrace::open(&trace).expect("map capture");
     assert!(map.segment_count() >= 2, "want a multi-segment capture, got {}", map.segment_count());
-
-    let below_meta = |args: &[&str], threads: &str| -> String {
-        let out = psim().args(args).env("SWEEP_THREADS", threads).output().expect("run psim");
-        assert!(out.status.success(), "{args:?} failed: {}", String::from_utf8_lossy(&out.stderr));
-        String::from_utf8_lossy(&out.stdout)
-            .lines()
-            .filter(|l| !l.starts_with("  \"meta\""))
-            .map(|l| format!("{l}\n"))
-            .collect()
-    };
     for threads in ["1", "3"] {
         assert_eq!(
             below_meta(&["analyze", "--trace", &trace, "--json"], threads),
@@ -174,6 +195,77 @@ fn analyze_and_cuts_json_match_checked_in_fixtures() {
             include_str!("fixtures/cuts_cwl_racing_epoch.json"),
             "cuts at SWEEP_THREADS={threads}"
         );
+    }
+}
+
+/// The same capture written as fixed-width MPTRACE1 reproduces the
+/// MPTRACE2 fixtures of `analyze` and `cuts` at one worker and at three,
+/// and the same `profile` report.
+#[test]
+fn mptrace1_input_matches_mptrace2_reports() {
+    let v2 = capture_racing("pinned_v1src.trace", 1200);
+    let v1 = to_mptrace1(&v2, "pinned.mptrace1");
+    for threads in ["1", "3"] {
+        assert_eq!(
+            below_meta(&["analyze", "--trace", &v1, "--json"], threads),
+            include_str!("fixtures/analyze_cwl_racing.json"),
+            "MPTRACE1 analyze at SWEEP_THREADS={threads}"
+        );
+        assert_eq!(
+            below_meta(
+                &["cuts", "--trace", &v1, "--json", "--model", "epoch", "--samples", "0"],
+                threads
+            ),
+            include_str!("fixtures/cuts_cwl_racing_epoch.json"),
+            "MPTRACE1 cuts at SWEEP_THREADS={threads}"
+        );
+    }
+    assert_eq!(
+        below_meta(&["profile", "--trace", &v1, "--json"], "1"),
+        below_meta(&["profile", "--trace", &v2, "--json"], "1"),
+        "MPTRACE1 and MPTRACE2 profiles differ"
+    );
+}
+
+/// Every trace-reading subcommand fails with one exact line on stderr and
+/// exit status 1, never a panic, for a missing file, bytes that are no
+/// trace, and a capture cut in half in either format.
+#[test]
+fn trace_input_errors_are_exact() {
+    let missing = tmp("missing.trace");
+    let _ = std::fs::remove_file(&missing);
+    let not_found = std::fs::File::open(&missing).unwrap_err();
+    let bad = tmp("not_a_trace.trace");
+    std::fs::write(&bad, b"definitely not a trace").unwrap();
+    let v2 = capture_racing("truncate_src.trace", 40);
+    let v1 = to_mptrace1(&v2, "truncate_src.mptrace1");
+    let halve = |src: &str, name: &str| -> String {
+        let bytes = std::fs::read(src).unwrap();
+        let path = tmp(name);
+        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        path
+    };
+    let v2_cut = halve(&v2, "truncated.trace");
+    let v1_cut = halve(&v1, "truncated.mptrace1");
+    for cmd in ["analyze", "cuts", "profile", "crash"] {
+        let v2_cut_msg = if cmd == "cuts" {
+            "trace stream failed: truncated event".to_string()
+        } else {
+            format!("read {v2_cut}: truncated event")
+        };
+        for (path, msg) in [
+            (&missing, format!("open {missing}: {not_found}")),
+            (&bad, format!("read {bad}: not an MPTRACE1/MPTRACE2 trace")),
+            (&v2_cut, v2_cut_msg),
+            (&v1_cut, format!("read {v1_cut}: failed to fill whole buffer")),
+        ] {
+            let out = psim().args([cmd, "--trace", path]).output().expect("run psim");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{cmd} {path}: {stderr}");
+            assert_eq!(stderr, format!("psim: {msg}\n"), "{cmd} {path}");
+            assert!(!stderr.contains("panicked"), "{cmd} {path}: {stderr}");
+            assert!(out.stdout.is_empty(), "{cmd} {path} printed a report");
+        }
     }
 }
 
@@ -193,15 +285,7 @@ fn analyze_and_cuts_json_match_checked_in_fixtures() {
 /// ```
 #[test]
 fn profile_json_matches_checked_in_fixtures() {
-    let trace = tmp("profile_pinned.trace");
-    let out = psim()
-        .args([
-            "capture", "--queue", "cwl", "--mode", "racing", "--threads", "2", "--inserts", "16",
-            "--seed", "42", "--out", &trace,
-        ])
-        .output()
-        .expect("run psim capture");
-    assert!(out.status.success(), "capture failed: {}", String::from_utf8_lossy(&out.stderr));
+    let trace = capture_racing("profile_pinned.trace", 16);
     let fixtures = [
         ("strict", include_str!("fixtures/profile_strict.json")),
         ("strict-rmo", include_str!("fixtures/profile_strict-rmo.json")),
@@ -211,17 +295,10 @@ fn profile_json_matches_checked_in_fixtures() {
     ];
     for threads in ["1", "3"] {
         for (model, want) in fixtures {
-            let out = psim()
-                .args(["profile", "--trace", &trace, "--model", model, "--barriers", "13", "--json"])
-                .env("SWEEP_THREADS", threads)
-                .output()
-                .expect("run psim profile");
-            assert!(out.status.success(), "{model}: {}", String::from_utf8_lossy(&out.stderr));
-            let got: String = String::from_utf8_lossy(&out.stdout)
-                .lines()
-                .filter(|l| !l.starts_with("  \"meta\""))
-                .map(|l| format!("{l}\n"))
-                .collect();
+            let got = below_meta(
+                &["profile", "--trace", &trace, "--model", model, "--barriers", "13", "--json"],
+                threads,
+            );
             assert_eq!(got, want, "profile {model} at SWEEP_THREADS={threads}");
         }
     }

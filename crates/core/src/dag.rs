@@ -496,27 +496,12 @@ impl PersistDag {
     /// # Errors
     ///
     /// Returns [`DagError::TooManyPersists`] if the trace exceeds
-    /// [`MAX_DAG_NODES`] distinct persists.
+    /// [`MAX_DAG_NODES`] distinct persists, and [`DagError::Io`] if an
+    /// event names a thread outside `trace.thread_count()`. To build from
+    /// a serialized trace without materializing it, use
+    /// [`crate::partition::build_dag`].
     pub fn build(trace: &Trace, config: &AnalysisConfig) -> Result<Self, DagError> {
-        Self::build_source(trace.source(), config)
-    }
-
-    /// Builds the DAG from a streaming event source (e.g. a
-    /// [`TraceReader`](mem_trace::io::TraceReader) or a
-    /// [`MappedTrace`](mem_trace::mmapio::MappedTrace) segment source)
-    /// without materializing the trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DagError::TooManyPersists`] past [`MAX_DAG_NODES`]
-    /// persists, and [`DagError::Io`] on source decode/I-O failures.
-    pub fn build_source<E: mem_trace::EventSource>(
-        mut source: E,
-        config: &AnalysisConfig,
-    ) -> Result<Self, DagError> {
-        Self::build_with(config, source.thread_count(), |run| {
-            mem_trace::for_each_slab(&mut source, |slab| run.push_events(slab))
-        })
+        Self::build_with(config, trace.thread_count(), |run| run.push_events(trace.events()))
     }
 
     /// Builds the DAG from the event blocks `feed` pushes into the run, in

@@ -179,7 +179,7 @@ type Sink<'a> = &'a mut (dyn ChunkSink + Send);
 /// Chunks are decoded once, by up to `workers` threads, and pushed into
 /// the profile and every config's engine run. Results are bit-identical
 /// to running [`TraceProfile::of_source`] and
-/// [`crate::timing::analyze_source`] sequentially, for any `workers`.
+/// [`Analyzer::analyze_source`] sequentially, for any `workers`.
 ///
 /// # Errors
 ///

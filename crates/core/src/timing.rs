@@ -123,20 +123,6 @@ pub fn analyze(trace: &Trace, config: &AnalysisConfig) -> TimingReport {
     Analyzer::new().analyze(trace, config)
 }
 
-/// Computes the critical path from a streaming event source (e.g. an
-/// [`io::TraceReader`](mem_trace::io::TraceReader) over a serialized
-/// trace) without materializing the trace in memory.
-///
-/// # Errors
-///
-/// Propagates the source's decode/I/O errors.
-pub fn analyze_source<E: EventSource>(
-    source: E,
-    config: &AnalysisConfig,
-) -> io::Result<TimingReport> {
-    Analyzer::new().analyze_source(source, config)
-}
-
 /// Reusable timing analyzer.
 ///
 /// Keeps the engine's working state (block hash tables, per-thread
@@ -155,13 +141,20 @@ impl Analyzer {
 
     /// Computes the critical path of `trace` under `config`, reusing
     /// scratch capacity from previous calls.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an event names a thread outside `trace.thread_count()`.
     pub fn analyze(&mut self, trace: &Trace, config: &AnalysisConfig) -> TimingReport {
-        self.analyze_source(trace.source(), config)
-            .expect("in-memory trace sources cannot fail")
+        let _span = obsv::span("timing.analyze");
+        let mut run = self.begin(config, trace.thread_count());
+        run.push_events(trace.events()).expect("a trace's events name only its own threads");
+        run.report()
     }
 
     /// Streaming variant of [`Analyzer::analyze`]: one forward pass over
-    /// `source`, constant memory beyond the engine's block tables.
+    /// `source` (e.g. a [`MappedTrace`](mem_trace::mmapio::MappedTrace)
+    /// source), constant memory beyond the engine's block tables.
     ///
     /// # Errors
     ///

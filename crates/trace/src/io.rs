@@ -4,24 +4,26 @@
 //! framework is available online", §7); separating capture from analysis
 //! lets a slow instrumented run feed any number of persistency analyses.
 //!
-//! Two formats share one reader:
+//! Two formats:
 //!
-//! - **MPTRACE1** — fixed-width little-endian records (the original
-//!   format). Still written by [`write_trace`] and read back forever.
 //! - **MPTRACE2** — varint/delta-encoded ([`write_trace2`]): thread ids
 //!   and values are LEB128 varints, program-order indices and access
 //!   offsets are zigzag deltas against per-thread (and per-space)
 //!   predictors. Typical captures shrink to a fraction of the MPTRACE1
-//!   size; see `docs/mptrace2.md` for the byte-level spec.
+//!   size; see `docs/mptrace2.md` for the byte-level spec. Every
+//!   MPTRACE2 decode runs through [`SlabDecoder`].
+//! - **MPTRACE1** — fixed-width little-endian records (the original
+//!   format). Read back forever; [`write_trace`] still writes it so the
+//!   serialization benchmarks can compare the two encodings.
 //!
-//! [`read_trace`] auto-detects the format from the magic. For streaming
-//! ingestion without materializing a [`Trace`], wrap a reader in
-//! [`TraceReader`] — it implements [`EventSource`] and decodes events one
-//! at a time. Wrap file handles in `BufReader`/`BufWriter`; both codecs
-//! issue many small reads/writes.
+//! [`read_trace`] decodes an input by its magic. To
+//! analyze an MPTRACE2 file without materializing a [`Trace`], map it
+//! with [`crate::mmapio::MappedTrace`]. Wrap files in a `BufReader` or
+//! `BufWriter`; the MPTRACE1 codec issues many small reads and writes.
 
 use crate::event::tag;
-use crate::source::{collect_trace, EventSource};
+use crate::mmapio::MappedTrace;
+use crate::source::EventSource;
 use crate::{Event, Op, ThreadId, Trace};
 use persist_mem::MemAddr;
 use std::io::{self, Read, Write};
@@ -34,6 +36,18 @@ const MAGIC2: [u8; 8] = *b"MPTRACE2";
 /// Decoder cap on thread ids: bounds decode-state allocation for corrupt
 /// inputs (real captures are far below this).
 const MAX_THREADS: u64 = 1 << 20;
+
+/// Rejects header fields no real capture has, before anything is
+/// allocated for them.
+fn check_header(nthreads: u64, count: u64) -> io::Result<()> {
+    if nthreads > MAX_THREADS {
+        return Err(bad("unreasonable thread count"));
+    }
+    if count > (1 << 32) {
+        return Err(bad("unreasonable event count"));
+    }
+    Ok(())
+}
 
 fn w64(w: &mut impl Write, v: u64) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
@@ -148,8 +162,8 @@ fn addr_in(space: usize, offset: u64) -> MemAddr {
 /// Worst-case encoded size of one v2 event: a tag byte plus at most five
 /// varints, each of which a decoder consumes at most 10 bytes of before
 /// accepting or rejecting it. A decode attempt with this many bytes
-/// available can never run off the end of a buffer spuriously — the
-/// refill invariant of the buffered reader's batched path.
+/// available can never run off the end of the slice — the window inside
+/// which [`SlabDecoder`] elides bounds checks.
 const MAX_EVENT_BYTES: usize = 1 + 5 * 10;
 
 #[inline]
@@ -233,18 +247,18 @@ fn sdelta_off<const CHECKED: bool>(
     Ok(offset)
 }
 
-/// Decodes one v2 event from `data[*pos..]`, advancing `pos` — the shared
-/// core of every MPTRACE2 decode path (buffered reader, mmap'd segments,
-/// slab fills). Field order, validation, and accept/reject decisions are
-/// exactly those of the original per-event reader; running out of bytes
-/// surfaces as `UnexpectedEof` like a failing `read_exact`.
+/// Decodes one v2 event from `data[*pos..]`, advancing `pos` — the
+/// bounds-checked core of MPTRACE2 decoding: [`SlabDecoder`] runs it near
+/// the end of its slice, and the per-event reference decode runs it
+/// everywhere. Running out of bytes surfaces as `UnexpectedEof` like a
+/// failing `read_exact`.
 #[inline]
 fn decode_event2(data: &[u8], pos: &mut usize, st: &mut Vec<ThreadCodec>) -> io::Result<Event> {
     decode_event2_impl::<true>(data, pos, st)
 }
 
 /// [`decode_event2`] with per-byte bounds checks elided — the slab hot
-/// loops call this for every event that starts at least
+/// loop calls this for every event that starts at least
 /// [`MAX_EVENT_BYTES`] from the end of the buffer. Identical field
 /// order, validation, and accept/reject decisions: within the window no
 /// read can spuriously hit the buffer end, so the checked path would
@@ -323,6 +337,8 @@ fn decode_event2_impl<const CHECKED: bool>(
 }
 
 /// Writes `trace` to `w` in the MPTRACE1 format (fixed-width records).
+/// No capture path writes MPTRACE1; this remains for the serialization
+/// benchmarks and for tests that need MPTRACE1 input.
 ///
 /// # Errors
 ///
@@ -602,7 +618,7 @@ pub(crate) fn parse_index(data: &[u8], body_start: usize, count: u64) -> Option<
 
 /// Parses an MPTRACE2 header from an in-memory file: returns
 /// `(nthreads, count, body_start)` where `body_start` is the byte offset
-/// of the first event. Same validation as [`TraceReader::new`].
+/// of the first event.
 pub(crate) fn parse_header2(data: &[u8]) -> io::Result<(u32, u64, usize)> {
     let mut r = data;
     let mut magic = [0u8; 8];
@@ -612,243 +628,69 @@ pub(crate) fn parse_header2(data: &[u8]) -> io::Result<(u32, u64, usize)> {
     }
     let nthreads = rvar(&mut r)?;
     let count = rvar(&mut r)?;
-    if nthreads > MAX_THREADS {
-        return Err(bad("unreasonable thread count"));
-    }
-    if count > (1 << 32) {
-        return Err(bad("unreasonable event count"));
-    }
+    check_header(nthreads, count)?;
     Ok((nthreads as u32, count, data.len() - r.len()))
 }
 
-/// Which serialized format a [`TraceReader`] is decoding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceFormat {
-    /// Fixed-width MPTRACE1.
-    V1,
-    /// Varint/delta MPTRACE2.
-    V2,
+/// Decodes an MPTRACE1 file body (everything after the magic) straight
+/// off `r`. Bytes after the header's `count` events are left unread.
+fn decode_v1(mut r: impl Read) -> io::Result<Trace> {
+    let nthreads = r32(&mut r)? as u64;
+    let count = r64(&mut r)?;
+    check_header(nthreads, count)?;
+    // Pre-size only up to a sane bound, so a corrupt count cannot trigger
+    // a huge allocation before decoding fails.
+    let mut events = Vec::with_capacity(count.min(1 << 20) as usize);
+    for _ in 0..count {
+        events.push(decode_event1(&mut r)?);
+    }
+    Ok(Trace::from_events(nthreads as u32, events))
 }
 
-/// Refill target of the buffered v2 decoder's carry buffer: large reads
-/// amortize the `Read` trait to a few crossings per megabyte, and events
-/// decode from a flat in-memory block between them.
-const READ_CHUNK: usize = 64 * 1024;
-
-/// Streaming trace decoder: an [`EventSource`] over a serialized trace.
-///
-/// Auto-detects MPTRACE1 vs MPTRACE2 from the magic. MPTRACE2 decodes
-/// through an internal carry buffer in large blocks — both `next_event`
-/// and the batched [`EventSource::fill_slab`] path — so analyses can
-/// ingest traces of any size in constant memory at block-decode speed.
-/// The reader may consume bytes past the last event (up to one refill
-/// block); it does not hand the underlying reader back. MPTRACE1 still
-/// decodes one record per call; wrap v1 files in a `BufReader`.
-pub struct TraceReader<R> {
-    r: R,
-    format: TraceFormat,
-    nthreads: u32,
-    remaining: u64,
-    /// v2 per-thread predictor state (unused for v1).
-    st: Vec<ThreadCodec>,
-    /// v2 carry buffer: undecoded bytes live in `buf[pos..]`.
-    buf: Vec<u8>,
-    pos: usize,
-    /// The underlying reader returned 0; `buf[pos..]` is all that's left.
-    eof: bool,
-}
-
-impl<R> std::fmt::Debug for TraceReader<R> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceReader")
-            .field("format", &self.format)
-            .field("nthreads", &self.nthreads)
-            .field("remaining", &self.remaining)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<R: Read> TraceReader<R> {
-    /// Reads and validates the header, leaving the reader positioned at
-    /// the first event.
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` for an unknown magic or unreasonable header
-    /// fields, and propagates I/O errors.
-    pub fn new(mut r: R) -> io::Result<Self> {
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        let format = match magic {
-            MAGIC => TraceFormat::V1,
-            MAGIC2 => TraceFormat::V2,
-            _ => return Err(bad("not an MPTRACE1/MPTRACE2 trace")),
-        };
-        let (nthreads, remaining) = match format {
-            TraceFormat::V1 => (r32(&mut r)? as u64, r64(&mut r)?),
-            TraceFormat::V2 => (rvar(&mut r)?, rvar(&mut r)?),
-        };
-        if nthreads > MAX_THREADS {
-            return Err(bad("unreasonable thread count"));
+/// Decodes one fixed-width MPTRACE1 record from `r`.
+fn decode_event1(r: &mut impl Read) -> io::Result<Event> {
+    let thread = ThreadId(r32(r)?);
+    let po = r32(r)?;
+    let t = r8(r)?;
+    let read_len = |r: &mut _| -> io::Result<u8> {
+        let len = r8(r)?;
+        if (1..=8).contains(&len) {
+            Ok(len)
+        } else {
+            Err(bad("access length out of range"))
         }
-        if remaining > (1 << 32) {
-            return Err(bad("unreasonable event count"));
+    };
+    let op = match t {
+        tag::LOAD => {
+            let len = read_len(r)?;
+            Op::Load { addr: MemAddr::from_bits(r64(r)?), len, value: r64(r)? }
         }
-        Ok(TraceReader {
-            r,
-            format,
-            nthreads: nthreads as u32,
-            remaining,
-            st: Vec::new(),
-            buf: Vec::new(),
-            pos: 0,
-            eof: false,
-        })
-    }
-
-    /// The detected on-disk format.
-    pub fn format(&self) -> TraceFormat {
-        self.format
-    }
-
-    /// Compacts the carry buffer and reads until a full [`READ_CHUNK`] is
-    /// buffered or the reader hits end of stream.
-    fn refill(&mut self) -> io::Result<()> {
-        self.buf.copy_within(self.pos.., 0);
-        self.buf.truncate(self.buf.len() - self.pos);
-        self.pos = 0;
-        while self.buf.len() < READ_CHUNK {
-            let old = self.buf.len();
-            self.buf.resize(READ_CHUNK, 0);
-            match self.r.read(&mut self.buf[old..]) {
-                Ok(0) => {
-                    self.buf.truncate(old);
-                    self.eof = true;
-                    return Ok(());
-                }
-                Ok(k) => self.buf.truncate(old + k),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => self.buf.truncate(old),
-                Err(e) => {
-                    self.buf.truncate(old);
-                    return Err(e);
-                }
-            }
+        tag::STORE => {
+            let len = read_len(r)?;
+            Op::Store { addr: MemAddr::from_bits(r64(r)?), len, value: r64(r)? }
         }
-        Ok(())
-    }
-
-    fn next_v1(&mut self) -> io::Result<Event> {
-        let r = &mut self.r;
-        let thread = ThreadId(r32(r)?);
-        let po = r32(r)?;
-        let t = r8(r)?;
-        let read_len = |r: &mut R| -> io::Result<u8> {
-            let len = r8(r)?;
-            if (1..=8).contains(&len) {
-                Ok(len)
-            } else {
-                Err(bad("access length out of range"))
-            }
-        };
-        let op = match t {
-            tag::LOAD => {
-                let len = read_len(r)?;
-                Op::Load { addr: MemAddr::from_bits(r64(r)?), len, value: r64(r)? }
-            }
-            tag::STORE => {
-                let len = read_len(r)?;
-                Op::Store { addr: MemAddr::from_bits(r64(r)?), len, value: r64(r)? }
-            }
-            tag::RMW => {
-                let len = read_len(r)?;
-                Op::Rmw { addr: MemAddr::from_bits(r64(r)?), len, old: r64(r)?, new: r64(r)? }
-            }
-            tag::PBARRIER => Op::PersistBarrier,
-            tag::MBARRIER => Op::MemBarrier,
-            tag::NEWSTRAND => Op::NewStrand,
-            tag::PSYNC => Op::PersistSync,
-            tag::PALLOC => Op::PAlloc { addr: MemAddr::from_bits(r64(r)?), size: r64(r)? },
-            tag::PFREE => Op::PFree { addr: MemAddr::from_bits(r64(r)?) },
-            tag::WBEGIN => Op::WorkBegin { id: r64(r)? },
-            tag::WEND => Op::WorkEnd { id: r64(r)? },
-            _ => return Err(bad("unknown operation tag")),
-        };
-        Ok(Event { thread, po, op })
-    }
-
-    #[inline]
-    fn next_v2(&mut self) -> io::Result<Event> {
-        if self.buf.len() - self.pos < MAX_EVENT_BYTES && !self.eof {
-            self.refill()?;
+        tag::RMW => {
+            let len = read_len(r)?;
+            Op::Rmw { addr: MemAddr::from_bits(r64(r)?), len, old: r64(r)?, new: r64(r)? }
         }
-        decode_event2(&self.buf, &mut self.pos, &mut self.st)
-    }
-}
-
-impl<R: Read> EventSource for TraceReader<R> {
-    fn thread_count(&self) -> u32 {
-        self.nthreads
-    }
-
-    fn next_event(&mut self) -> io::Result<Option<Event>> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        let e = match self.format {
-            TraceFormat::V1 => self.next_v1()?,
-            TraceFormat::V2 => self.next_v2()?,
-        };
-        self.remaining -= 1;
-        Ok(Some(e))
-    }
-
-    fn fill_slab(&mut self, out: &mut Vec<Event>, max: usize) -> io::Result<usize> {
-        if self.format == TraceFormat::V1 {
-            let mut n = 0;
-            while n < max {
-                match self.next_event()? {
-                    Some(e) => {
-                        out.push(e);
-                        n += 1;
-                    }
-                    None => break,
-                }
-            }
-            return Ok(n);
-        }
-        let total = self.remaining.min(max as u64) as usize;
-        out.reserve(total);
-        for n in 0..total {
-            if self.buf.len() - self.pos < MAX_EVENT_BYTES && !self.eof {
-                self.refill()?;
-            }
-            let res = if self.buf.len() - self.pos >= MAX_EVENT_BYTES {
-                // SAFETY: a full event window is buffered.
-                unsafe { decode_event2_unchecked(&self.buf, &mut self.pos, &mut self.st) }
-            } else {
-                decode_event2(&self.buf, &mut self.pos, &mut self.st)
-            };
-            match res {
-                Ok(e) => out.push(e),
-                Err(e) => {
-                    self.remaining -= n as u64;
-                    return Err(e);
-                }
-            }
-        }
-        self.remaining -= total as u64;
-        Ok(total)
-    }
-
-    fn size_hint(&self) -> Option<u64> {
-        Some(self.remaining)
-    }
+        tag::PBARRIER => Op::PersistBarrier,
+        tag::MBARRIER => Op::MemBarrier,
+        tag::NEWSTRAND => Op::NewStrand,
+        tag::PSYNC => Op::PersistSync,
+        tag::PALLOC => Op::PAlloc { addr: MemAddr::from_bits(r64(r)?), size: r64(r)? },
+        tag::PFREE => Op::PFree { addr: MemAddr::from_bits(r64(r)?) },
+        tag::WBEGIN => Op::WorkBegin { id: r64(r)? },
+        tag::WEND => Op::WorkEnd { id: r64(r)? },
+        _ => return Err(bad("unknown operation tag")),
+    };
+    Ok(Event { thread, po, op })
 }
 
 /// Zero-copy batched MPTRACE2 decoder over an in-memory event body —
-/// what [`crate::mmapio::MappedTrace`] segments hand out. Implements
-/// [`EventSource`]; the [`fill_slab`](EventSource::fill_slab) override
-/// decodes a whole block in one tight loop with no per-event dispatch.
+/// what [`MappedTrace`] streams and segments hand out, and the only
+/// MPTRACE2 decoder. Its [`fill_slab`](EventSource::fill_slab) decodes a
+/// whole block in one tight loop, eliding bounds checks for every event
+/// that starts at least `MAX_EVENT_BYTES` (51) before the end of the slice.
 #[derive(Debug)]
 pub struct SlabDecoder<'a> {
     data: &'a [u8],
@@ -870,21 +712,27 @@ impl<'a> SlabDecoder<'a> {
     ) -> Self {
         SlabDecoder { data, pos: 0, nthreads, remaining, st }
     }
+
+    /// Decodes what draining this decoder would yield, one bounds-checked
+    /// [`decode_event2`] call per event and no unchecked window — the
+    /// reference the slab hot loop is tested against. Returns the events
+    /// decoded and how the stream ended.
+    #[doc(hidden)]
+    pub fn decode_reference(mut self) -> (Vec<Event>, io::Result<()>) {
+        let mut events = Vec::new();
+        for _ in 0..self.remaining {
+            match decode_event2(self.data, &mut self.pos, &mut self.st) {
+                Ok(e) => events.push(e),
+                Err(e) => return (events, Err(e)),
+            }
+        }
+        (events, Ok(()))
+    }
 }
 
 impl EventSource for SlabDecoder<'_> {
     fn thread_count(&self) -> u32 {
         self.nthreads
-    }
-
-    #[inline]
-    fn next_event(&mut self) -> io::Result<Option<Event>> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        let e = decode_event2(self.data, &mut self.pos, &mut self.st)?;
-        self.remaining -= 1;
-        Ok(Some(e))
     }
 
     fn fill_slab(&mut self, out: &mut Vec<Event>, max: usize) -> io::Result<usize> {
@@ -914,14 +762,28 @@ impl EventSource for SlabDecoder<'_> {
     }
 }
 
-/// Reads a trace from `r`, auto-detecting MPTRACE1 or MPTRACE2.
+/// Reads a trace from `r`, MPTRACE1 or MPTRACE2 by its magic. An
+/// MPTRACE2 input is read whole and decoded through
+/// [`MappedTrace::from_bytes`]; MPTRACE1 decodes record by record, so wrap
+/// a file in a `BufReader`.
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` for a bad magic, tag, or field, and propagates
-/// I/O errors. Never panics on corrupt input.
-pub fn read_trace<R: Read>(r: R) -> io::Result<Trace> {
-    collect_trace(TraceReader::new(r)?)
+/// Returns `InvalidData` for a bad magic, tag, or field, `UnexpectedEof`
+/// for a truncated file, and propagates I/O errors. Never panics on
+/// corrupt input.
+pub fn read_trace<R: Read>(mut r: R) -> io::Result<Trace> {
+    let mut magic = [0u8; 8];
+    r.read_exact(&mut magic)?;
+    match magic {
+        MAGIC => decode_v1(r),
+        MAGIC2 => {
+            let mut bytes = magic.to_vec();
+            r.read_to_end(&mut bytes)?;
+            MappedTrace::from_bytes(bytes)?.collect()
+        }
+        _ => Err(bad("not an MPTRACE1/MPTRACE2 trace")),
+    }
 }
 
 #[cfg(test)]
@@ -1025,15 +887,14 @@ mod tests {
         let t = sample_trace();
         let mut buf = Vec::new();
         write_trace2(&t, &mut buf).unwrap();
-        let mut reader = TraceReader::new(buf.as_slice()).unwrap();
-        assert_eq!(reader.format(), TraceFormat::V2);
-        assert_eq!(reader.thread_count(), 2);
-        assert_eq!(reader.size_hint(), Some(t.events().len() as u64));
+        let map = MappedTrace::from_bytes(buf.clone()).unwrap();
+        let mut src = map.source();
+        assert_eq!(src.thread_count(), 2);
+        assert_eq!(src.size_hint(), Some(t.events().len() as u64));
         let mut streamed = Vec::new();
-        while let Some(e) = reader.next_event().unwrap() {
-            streamed.push(e);
-        }
+        while src.fill_slab(&mut streamed, 3).unwrap() > 0 {}
         assert_eq!(streamed.as_slice(), t.events());
+        assert_eq!(read_trace(buf.as_slice()).unwrap(), t);
     }
 
     #[test]
@@ -1103,9 +964,7 @@ mod tests {
                 entry.codecs.clone(),
             );
             let mut got = Vec::new();
-            while let Some(e) = r.next_event().unwrap() {
-                got.push(e);
-            }
+            r.fill_slab(&mut got, usize::MAX).unwrap();
             assert_eq!(
                 got.as_slice(),
                 &t.events()[entry.start_event as usize..end_event as usize],

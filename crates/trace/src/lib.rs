@@ -28,9 +28,9 @@
 //!   compact varint/delta MPTRACE2; capture once, analyze many),
 //! - [`mmapio`] — zero-copy `mmap` ingestion of MPTRACE2 shards; the
 //!   segment-index footer lets independent decoders seek mid-file,
-//! - [`EventSource`] — streaming ingestion: one-pass analyses pull events
-//!   from an in-memory [`Trace`] or straight off a serialized file via
-//!   [`io::TraceReader`] without materializing the event vector.
+//! - [`EventSource`] — slab delivery: one-pass analyses pull event slabs
+//!   from an in-memory [`Trace`] or straight off a mapped MPTRACE2 file
+//!   without materializing the event vector.
 //!
 //! # Example
 //!

@@ -11,9 +11,14 @@
 //! start mid-file and still produce exactly the sequential event stream.
 //!
 //! Safety/corruption posture: all decoding runs through [`SlabDecoder`]
-//! over plain byte slices, so every read is bounds-checked and malformed
-//! bytes surface as `InvalidData` errors — never panics, never reads out
-//! of the mapping. A damaged or missing footer only costs seekability
+//! over plain byte slices. It elides per-byte bounds checks only for an
+//! event that starts at least one worst-case event length (a tag byte and
+//! five 10-byte varints) before the end of the slice, so no read can leave
+//! the slice; events nearer the end decode bounds-checked. Malformed bytes
+//! surface as `InvalidData` or `UnexpectedEof` errors — never panics,
+//! never reads out of the mapping. The differential and corruption test
+//! suites hold this decoder equal to a per-event, fully bounds-checked
+//! reference decode. A damaged or missing footer only costs seekability
 //! (the file degrades to one segment); it is never an error by itself.
 //! The mapping is private (`MAP_PRIVATE`) and read-only. Truncating a
 //! file *while* it is mapped is undefined behaviour at the OS level
@@ -22,8 +27,8 @@
 //! by renaming shards into place only when complete.
 //!
 //! MPTRACE1 files are not mappable (no index; the fixed-width format
-//! predates sharded capture) — callers fall back to the streaming
-//! [`crate::io::TraceReader`] for those.
+//! predates sharded capture) — [`crate::io::read_trace`] loads those into
+//! memory.
 
 use crate::io::{parse_header2, parse_index, SegmentEntry, SlabDecoder};
 use std::fs::File;
@@ -122,7 +127,7 @@ impl Backing {
 /// A memory-mapped (or in-memory) MPTRACE2 file with its segment index.
 ///
 /// Construction validates the header and parses the index footer; event
-/// bytes are decoded lazily through the [`EventSource`]s returned by
+/// bytes are decoded lazily through the [`EventSource`](crate::EventSource)s returned by
 /// [`source`](MappedTrace::source) / [`segment_source`](MappedTrace::segment_source).
 pub struct MappedTrace {
     backing: Backing,
@@ -150,7 +155,8 @@ impl MappedTrace {
     /// # Errors
     ///
     /// Propagates open/map I/O errors; returns `InvalidData` for a bad
-    /// magic (including MPTRACE1 — use [`TraceReader`] for those) or
+    /// magic (including MPTRACE1 — use [`crate::io::read_trace`] for
+    /// those) or
     /// unreasonable header fields.
     pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
         let file = File::open(path.as_ref())?;
@@ -308,9 +314,7 @@ mod tests {
             assert_eq!(start, covered);
             covered += n;
             let mut src = m.segment_source(i);
-            while let Some(e) = src.next_event().unwrap() {
-                events.push(e);
-            }
+            while src.fill_slab(&mut events, 5).unwrap() > 0 {}
         }
         assert_eq!(covered, m.event_count());
         assert_eq!(events.as_slice(), t.events());

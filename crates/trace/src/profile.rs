@@ -37,13 +37,19 @@ pub struct TraceProfile {
 
 impl TraceProfile {
     /// Profiles a trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an event names a thread outside `trace.thread_count()`.
     pub fn of(trace: &Trace) -> Self {
-        Self::of_source(trace.source()).expect("in-memory trace sources cannot fail")
+        let mut run = Self::begin(trace.thread_count());
+        run.push(trace.events()).expect("a trace's events name only its own threads");
+        run.finish()
     }
 
     /// Profiles a streaming event source (one forward pass, constant
-    /// memory) — e.g. an [`io::TraceReader`](crate::io::TraceReader) over
-    /// a serialized trace file.
+    /// memory) — e.g. a [`MappedTrace`](crate::mmapio::MappedTrace)
+    /// source over a serialized trace file.
     ///
     /// # Errors
     ///

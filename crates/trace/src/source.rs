@@ -1,11 +1,13 @@
-//! Streaming event ingestion.
+//! Slab event delivery.
 //!
 //! Analyses that make one forward pass over a trace (the persistency
-//! engines, profiling, insert-distance statistics) do not need the whole
-//! event vector in memory. [`EventSource`] is the pull-based iterator they
-//! consume instead: an in-memory [`Trace`] adapts via [`Trace::source`],
-//! and [`io::TraceReader`](crate::io::TraceReader) streams events straight
-//! off a serialized trace file without materializing it.
+//! engines, profiling, the DAG build) take events in blocks, in stream
+//! order. [`EventSource`] is the pull side of that contract: a source
+//! appends the next slab of events on each [`fill_slab`](EventSource::fill_slab)
+//! call. An in-memory [`Trace`] adapts via [`Trace::source`]; an
+//! MPTRACE2 file decodes through
+//! [`MappedTrace::source`](crate::mmapio::MappedTrace::source) without
+//! materializing the event vector.
 
 use crate::{Event, Trace};
 use std::io;
@@ -15,70 +17,27 @@ use std::io;
 /// 24-byte events stays L2-resident.
 pub const SLAB_EVENTS: usize = 16 * 1024;
 
-/// A fallible stream of trace events in visibility order.
-///
-/// `next_event` returns `Ok(None)` at end of stream. Sources backed by
-/// files surface decode/I/O failures as errors; in-memory sources never
-/// fail.
+/// A fallible stream of trace events in visibility order, delivered in
+/// slabs. Sources backed by files surface decode failures as errors;
+/// in-memory sources never fail.
 pub trait EventSource {
     /// Number of threads that produced the stream (thread ids are
     /// `0..thread_count`).
     fn thread_count(&self) -> u32;
 
-    /// Pulls the next event, or `Ok(None)` when the stream is exhausted.
-    ///
-    /// # Errors
-    ///
-    /// Returns decode or I/O errors from the underlying stream.
-    fn next_event(&mut self) -> io::Result<Option<Event>>;
-
     /// Appends up to `max` events to `out`, returning how many were
-    /// appended; `Ok(0)` means the stream is exhausted. Consumers that
-    /// iterate slabs instead of single events skip the per-event
-    /// `io::Result` plumbing entirely; decoding sources override this
-    /// with a batched fast path.
+    /// appended; `Ok(0)` means the stream is exhausted.
     ///
     /// # Errors
     ///
     /// Returns decode or I/O errors from the underlying stream. Events
-    /// decoded before the error are *not* appended by the default
-    /// implementation's contract: a failing call leaves `out` in an
-    /// unspecified (but valid) state and the stream unusable.
-    fn fill_slab(&mut self, out: &mut Vec<Event>, max: usize) -> io::Result<usize> {
-        let mut n = 0;
-        while n < max {
-            match self.next_event()? {
-                Some(e) => {
-                    out.push(e);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        Ok(n)
-    }
+    /// decoded before the error may already be appended; the stream is
+    /// unusable afterwards.
+    fn fill_slab(&mut self, out: &mut Vec<Event>, max: usize) -> io::Result<usize>;
 
     /// Remaining events, if the source knows.
     fn size_hint(&self) -> Option<u64> {
         None
-    }
-}
-
-impl<E: EventSource + ?Sized> EventSource for &mut E {
-    fn thread_count(&self) -> u32 {
-        (**self).thread_count()
-    }
-
-    fn next_event(&mut self) -> io::Result<Option<Event>> {
-        (**self).next_event()
-    }
-
-    fn fill_slab(&mut self, out: &mut Vec<Event>, max: usize) -> io::Result<usize> {
-        (**self).fill_slab(out, max)
-    }
-
-    fn size_hint(&self) -> Option<u64> {
-        (**self).size_hint()
     }
 }
 
@@ -92,17 +51,6 @@ pub struct TraceSource<'a> {
 impl EventSource for TraceSource<'_> {
     fn thread_count(&self) -> u32 {
         self.nthreads
-    }
-
-    #[inline]
-    fn next_event(&mut self) -> io::Result<Option<Event>> {
-        match self.events.split_first() {
-            Some((e, rest)) => {
-                self.events = rest;
-                Ok(Some(*e))
-            }
-            None => Ok(None),
-        }
     }
 
     fn fill_slab(&mut self, out: &mut Vec<Event>, max: usize) -> io::Result<usize> {
@@ -178,14 +126,13 @@ mod tests {
         let mut src = t.source();
         assert_eq!(src.thread_count(), 2);
         assert_eq!(src.size_hint(), Some(4));
-        let mut n = 0;
-        while let Some(e) = src.next_event().unwrap() {
-            assert_eq!(e, t.events()[n]);
-            n += 1;
-        }
-        assert_eq!(n, 4);
+        let mut out = Vec::new();
+        assert_eq!(src.fill_slab(&mut out, 3).unwrap(), 3);
+        assert_eq!(src.size_hint(), Some(1));
+        assert_eq!(src.fill_slab(&mut out, 3).unwrap(), 1);
+        assert_eq!(out.as_slice(), t.events());
         assert_eq!(src.size_hint(), Some(0));
-        assert!(src.next_event().unwrap().is_none());
+        assert_eq!(src.fill_slab(&mut out, 3).unwrap(), 0);
     }
 
     #[test]
@@ -196,14 +143,5 @@ mod tests {
         });
         let back = collect_trace(t.source()).unwrap();
         assert_eq!(back, t);
-    }
-
-    #[test]
-    fn mut_ref_is_a_source() {
-        let t = Trace::from_events(1, vec![]);
-        let mut src = t.source();
-        let by_ref: &mut TraceSource<'_> = &mut src;
-        assert_eq!(EventSource::thread_count(&by_ref), 1);
-        assert!(collect_trace(by_ref).unwrap().events().is_empty());
     }
 }

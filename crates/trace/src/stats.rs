@@ -101,40 +101,21 @@ impl DistanceHistogram {
 /// markers: the distance of a work item is the number of other-thread work
 /// completions since the same thread's previous completion.
 pub fn insert_distances(trace: &Trace) -> DistanceHistogram {
-    insert_distances_source(trace.source()).expect("in-memory trace sources cannot fail")
-}
-
-/// Streaming variant of [`insert_distances`]: one forward pass over any
-/// [`EventSource`], constant memory.
-///
-/// # Errors
-///
-/// Propagates the source's decode/I/O errors.
-pub fn insert_distances_source<E: crate::EventSource>(
-    mut source: E,
-) -> std::io::Result<DistanceHistogram> {
     let mut hist = DistanceHistogram::new();
     // Global index of each completion, per thread last-seen.
     let mut completed: u64 = 0;
     let mut last_of: HashMap<ThreadId, u64> = HashMap::new();
-    let mut slab = Vec::new();
-    loop {
-        slab.clear();
-        if source.fill_slab(&mut slab, crate::SLAB_EVENTS)? == 0 {
-            break;
-        }
-        for e in &slab {
-            if let Op::WorkEnd { .. } = e.op {
-                if let Some(&prev) = last_of.get(&e.thread) {
-                    // completions strictly between prev and this one
-                    hist.add(completed - prev - 1);
-                }
-                last_of.insert(e.thread, completed);
-                completed += 1;
+    for e in trace.events() {
+        if let Op::WorkEnd { .. } = e.op {
+            if let Some(&prev) = last_of.get(&e.thread) {
+                // completions strictly between prev and this one
+                hist.add(completed - prev - 1);
             }
+            last_of.insert(e.thread, completed);
+            completed += 1;
         }
     }
-    Ok(hist)
+    hist
 }
 
 /// Builds an insert-distance histogram from an externally observed sequence

@@ -1,14 +1,17 @@
 //! The mmap reader never panics on damaged MPTRACE2 files.
 //!
-//! [`MappedTrace`] hands out bounds-checked slices over whatever bytes are
-//! on disk, so every decode path must convert damage — truncation at any
-//! length, single-bit flips anywhere (header, body, segment index,
-//! trailer), and torn mid-page writes — into `io::Error` or a silent loss
-//! of seekability, never a panic or an out-of-bounds read. A panic
-//! anywhere in this suite fails the test.
+//! [`MappedTrace`] decodes whatever bytes are on disk, eliding bounds
+//! checks only inside a worst-case event window, so every decode path
+//! must convert damage — truncation at any length, single-bit flips
+//! anywhere (header, body, segment index, trailer), and torn mid-page
+//! writes — into `io::Error` or a silent loss of seekability, never a
+//! panic or an out-of-bounds read, and must agree with the per-event,
+//! fully bounds-checked reference decode. A panic anywhere in this suite
+//! fails the test.
 
+use mem_trace::io::{self as trace_io, SlabDecoder};
 use mem_trace::mmapio::MappedTrace;
-use mem_trace::{io as trace_io, EventSource, SeededScheduler, Trace, TracedMem};
+use mem_trace::{EventSource, SeededScheduler, Trace, TracedMem};
 use persist_mem::MemAddr;
 
 /// A multi-thread capture; `iters` scales the serialized size.
@@ -41,20 +44,13 @@ fn image(trace: &Trace, segment_events: u64) -> Vec<u8> {
     bytes
 }
 
-/// Drains one source through both decode paths — per-event and batched
-/// slab — and asserts they accept/reject identically: same decoded
-/// prefix, same terminal outcome. Errors are fine; panics and
-/// divergence are not. Returns the events decoded.
-fn drain_both(per_event: impl EventSource, slab: impl EventSource) -> u64 {
-    let mut src = per_event;
-    let mut events = Vec::new();
-    let outcome = loop {
-        match src.next_event() {
-            Ok(Some(e)) => events.push(e),
-            Ok(None) => break Ok(()),
-            Err(e) => break Err((e.kind(), e.to_string())),
-        }
-    };
+/// Drains one source through both decode paths — the per-event
+/// reference and the batched slab — and asserts they accept/reject
+/// identically: same decoded prefix, same terminal outcome. Errors are
+/// fine; panics and divergence are not. Returns the events decoded.
+fn drain_both(reference: SlabDecoder<'_>, slab: SlabDecoder<'_>) -> u64 {
+    let (events, outcome) = reference.decode_reference();
+    let outcome = outcome.map_err(|e| (e.kind(), e.to_string()));
     let mut src = slab;
     let mut slab_events = Vec::new();
     let slab_outcome = loop {
@@ -70,7 +66,7 @@ fn drain_both(per_event: impl EventSource, slab: impl EventSource) -> u64 {
 }
 
 /// Fully drains every decode surface of a parsed image: the sequential
-/// source and each segment source, each through the per-event *and* the
+/// source and each segment source, each through the reference *and* the
 /// slab path. Errors are fine; panics are not.
 fn drain_all(map: &MappedTrace) -> u64 {
     let mut decoded = drain_both(map.source(), map.source());

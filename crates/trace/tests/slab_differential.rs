@@ -1,16 +1,17 @@
-//! Differential tests: batched slab decoding vs per-event decoding.
+//! Differential tests: batched slab decoding vs the per-event reference.
 //!
-//! The slab decoders (`EventSource::fill_slab` on `TraceReader`, the
-//! mmap `SlabDecoder`, and the in-memory `TraceSource` override) are a
-//! separate hot-loop implementation of the same MPTRACE2 rules as the
-//! per-event `next_event` path. This suite holds the two bit-equal: on
-//! randomized traces covering every tag kind, extreme ("wrapping")
-//! offset deltas, and arbitrary thread interleavings, both paths must
-//! decode the identical event sequence; and on damaged inputs
+//! `SlabDecoder::fill_slab` — the only MPTRACE2 decoder, behind
+//! `MappedTrace` sources, segment sources and `read_trace` — elides
+//! bounds checks inside a worst-case event window.
+//! `SlabDecoder::decode_reference` decodes the same bytes one event at a
+//! time with every read bounds-checked. This suite holds the two
+//! bit-equal: on randomized traces covering every tag kind, extreme
+//! ("wrapping") offset deltas, and arbitrary thread interleavings, both
+//! must decode the identical event sequence; and on damaged inputs
 //! (truncation at every length, bit flips) both must accept or reject
 //! exactly the same bytes with the same error, never panicking.
 
-use mem_trace::io as trace_io;
+use mem_trace::io::{self as trace_io, SlabDecoder};
 use mem_trace::mmapio::MappedTrace;
 use mem_trace::rng::SmallRng;
 use mem_trace::{Event, EventSource, Op, ThreadId, Trace};
@@ -20,16 +21,10 @@ use std::io::ErrorKind;
 /// Terminal outcome of a drain: clean end or `(kind, message)`.
 type Outcome = Result<(), (ErrorKind, String)>;
 
-/// Decodes everything through `next_event`, one event at a time.
-fn drain_per_event<E: EventSource>(mut src: E) -> (Vec<Event>, Outcome) {
-    let mut out = Vec::new();
-    loop {
-        match src.next_event() {
-            Ok(Some(e)) => out.push(e),
-            Ok(None) => return (out, Ok(())),
-            Err(e) => return (out, Err((e.kind(), e.to_string()))),
-        }
-    }
+/// Decodes everything through the per-event reference decoder.
+fn drain_reference(src: SlabDecoder<'_>) -> (Vec<Event>, Outcome) {
+    let (events, res) = src.decode_reference();
+    (events, res.map_err(|e| (e.kind(), e.to_string())))
 }
 
 /// Decodes everything through `fill_slab` in blocks of `max`.
@@ -112,36 +107,31 @@ fn slab_decode_matches_per_event_on_random_traces() {
         for seg in [0u64, 64, 1 << 16] {
             let mut bytes = Vec::new();
             trace_io::write_trace2_segmented(&trace, &mut bytes, seg).unwrap();
+            let map = MappedTrace::from_bytes(bytes.clone()).unwrap();
 
-            // Reference: the buffered reader, one event at a time.
-            let (ref_events, ref_res) =
-                drain_per_event(trace_io::TraceReader::new(bytes.as_slice()).unwrap());
+            // Reference: one checked decode per event.
+            let (ref_events, ref_res) = drain_reference(map.source());
             assert!(ref_res.is_ok());
-            assert_eq!(ref_events, trace.events(), "per-event reader is the roundtrip oracle");
+            assert_eq!(ref_events, trace.events(), "per-event reference is the roundtrip oracle");
 
-            // The buffered reader's batched path, at awkward block sizes.
-            for max in [1usize, 7, 4096, usize::MAX] {
-                let (ev, res) =
-                    drain_slabs(trace_io::TraceReader::new(bytes.as_slice()).unwrap(), max);
+            // The slab decoder over the whole stream, at awkward block sizes.
+            for max in [1usize, 7, 911, 4096, usize::MAX] {
+                let (ev, res) = drain_slabs(map.source(), max);
                 assert!(res.is_ok(), "case {case} seg {seg} max {max}: {res:?}");
                 assert_eq!(ev, trace.events(), "case {case} seg {seg} max {max}");
             }
+            assert_eq!(trace_io::read_trace(bytes.as_slice()).unwrap(), trace);
 
-            // The mmap slab decoder: whole stream, both paths.
-            let map = MappedTrace::from_bytes(bytes.clone()).unwrap();
-            let (ev, res) = drain_per_event(map.source());
-            assert!(res.is_ok());
-            assert_eq!(ev, trace.events());
-            let (ev, res) = drain_slabs(map.source(), 911);
-            assert!(res.is_ok());
-            assert_eq!(ev, trace.events());
-
-            // Per-segment slab decodes concatenate to the exact stream.
-            let mut segev = Vec::new();
+            // Per-segment decodes concatenate to the exact stream, on both paths.
+            let (mut segev, mut refev) = (Vec::new(), Vec::new());
             for i in 0..map.segment_count() {
                 map.segment_source(i).fill_slab(&mut segev, usize::MAX).unwrap();
+                let (ev, res) = drain_reference(map.segment_source(i));
+                assert!(res.is_ok());
+                refev.extend(ev);
             }
             assert_eq!(segev, trace.events(), "case {case} seg {seg} segment concat");
+            assert_eq!(refev, trace.events(), "case {case} seg {seg} reference segment concat");
         }
     }
 }
@@ -155,38 +145,73 @@ fn in_memory_source_slab_override_matches() {
         assert!(res.is_ok());
         assert_eq!(ev, trace.events(), "max {max}");
     }
-    let (ev, res) = drain_per_event(trace.source());
-    assert!(res.is_ok());
-    assert_eq!(ev, trace.events());
 }
 
-/// Asserts the per-event and slab paths agree on `bytes` — same decoded
-/// prefix, same terminal accept/reject — on every decode surface that
-/// accepts the image at all.
+/// Asserts the reference and slab paths agree on `bytes` — same decoded
+/// prefix, same terminal accept/reject — on the whole stream and every
+/// segment, and that `read_trace` accepts exactly what they accept.
 fn assert_paths_agree(bytes: &[u8]) {
-    // Buffered reader: construction consumes the header identically.
-    let per = trace_io::TraceReader::new(bytes).map(drain_per_event);
-    let slab = trace_io::TraceReader::new(bytes).map(|r| drain_slabs(r, 256));
-    match (per, slab) {
-        (Ok((ev_p, res_p)), Ok((ev_s, res_s))) => {
-            assert_eq!(ev_p, ev_s, "buffered reader: decoded prefixes diverge");
-            assert_eq!(res_p, res_s, "buffered reader: outcomes diverge");
-        }
-        (Err(p), Err(s)) => assert_eq!(p.kind(), s.kind()),
-        (p, s) => panic!("buffered reader: one path accepted the header, the other did not: per-event {:?}, slab {:?}", p.map(|_| ()), s.map(|_| ())),
+    let read = trace_io::read_trace(bytes);
+    let Ok(map) = MappedTrace::from_bytes(bytes.to_vec()) else {
+        // A header that does not parse is rejected by every path.
+        assert!(read.is_err(), "read_trace accepted a header the mapper rejects");
+        return;
+    };
+    let (ev_r, res_r) = drain_reference(map.source());
+    let (ev_s, res_s) = drain_slabs(map.source(), 256);
+    assert_eq!(ev_r, ev_s, "stream: decoded prefixes diverge");
+    assert_eq!(res_r, res_s, "stream: outcomes diverge");
+    match (read, res_r) {
+        (Ok(t), Ok(())) => assert_eq!(t.events(), ev_r.as_slice(), "read_trace diverges"),
+        (Err(e), Err(r)) => assert_eq!((e.kind(), e.to_string()), r, "read_trace error diverges"),
+        (read, res) => panic!("read_trace {:?} vs reference {res:?}", read.map(|_| ())),
     }
-    // Mmap surfaces, when the header and trailer parse at all.
-    if let Ok(map) = MappedTrace::from_bytes(bytes.to_vec()) {
-        let (ev_p, res_p) = drain_per_event(map.source());
-        let (ev_s, res_s) = drain_slabs(map.source(), 256);
-        assert_eq!(ev_p, ev_s, "mmap stream: decoded prefixes diverge");
-        assert_eq!(res_p, res_s, "mmap stream: outcomes diverge");
-        for i in 0..map.segment_count() {
-            let (ev_p, res_p) = drain_per_event(map.segment_source(i));
-            let (ev_s, res_s) = drain_slabs(map.segment_source(i), 256);
-            assert_eq!(ev_p, ev_s, "segment {i}: decoded prefixes diverge");
-            assert_eq!(res_p, res_s, "segment {i}: outcomes diverge");
+    for i in 0..map.segment_count() {
+        let (ev_r, res_r) = drain_reference(map.segment_source(i));
+        let (ev_s, res_s) = drain_slabs(map.segment_source(i), 256);
+        assert_eq!(ev_r, ev_s, "segment {i}: decoded prefixes diverge");
+        assert_eq!(res_r, res_s, "segment {i}: outcomes diverge");
+    }
+}
+
+/// Appends `v` as a ten-byte varint: the longest encoding a decoder
+/// accepts (non-canonical for every value below 2^63).
+fn var10(out: &mut Vec<u8>, v: u64) {
+    for i in 0..9 {
+        out.push(((v >> (7 * i)) & 0x7F) as u8 | 0x80);
+    }
+    out.push((v >> 63) as u8);
+}
+
+/// An image of worst-case events only: persistent 8-byte RMWs whose five
+/// varints are all padded to ten bytes, 51 bytes each — the most one
+/// event decode can read. Cutting it at every length puts the last
+/// event's start at every distance from the end of the slice, on both
+/// sides of the window inside which the slab loop elides bounds checks.
+#[test]
+fn worst_case_events_agree_at_every_cut() {
+    let n = 4u8;
+    let mut bytes = b"MPTRACE2".to_vec();
+    bytes.extend([1, n]); // varint(nthreads), varint(count)
+    let (mut want, mut offset) = (Vec::new(), 0u64);
+    for i in 0..u64::from(n) {
+        let delta = 1u64 << (40 + i);
+        offset += delta;
+        let (old, new) = (u64::MAX - i, i << 60);
+        bytes.push(0xF2); // RMW, len 8, persistent space
+        for field in [0, 0, 2 * delta, old, new] {
+            // thread 0, dense program order, zigzag(+delta), old, new
+            var10(&mut bytes, field);
         }
+        let op = Op::Rmw { addr: MemAddr::persistent(offset), len: 8, old, new };
+        want.push(Event { thread: ThreadId(0), po: i as u32, op });
+    }
+    assert_eq!(bytes.len(), 10 + 51 * usize::from(n));
+    let map = MappedTrace::from_bytes(bytes.clone()).unwrap();
+    assert_eq!(drain_reference(map.source()), (want.clone(), Ok(())));
+    assert_eq!(drain_slabs(map.source(), usize::MAX), (want, Ok(())));
+    for cut in 0..bytes.len() {
+        assert_paths_agree(&bytes[..cut]);
     }
 }
 
