@@ -229,7 +229,8 @@ fn main() {
     let v2 = serialize_row(true);
 
     // --- Analyze pipeline: chunked-parallel (mmap'd MPTRACE2, shared
-    //     decode window feeding all model engines + the profile pass) vs
+    //     decode window feeding the profile pass and one engine walk
+    //     that carries every model as a lane) vs
     //     the N+1 sequential streaming passes `psim analyze` used to run.
     //     Same capture, all five models, identical results by
     //     construction. ---

@@ -336,10 +336,11 @@ fn load_layout(path: &str) -> Result<QueueLayout, String> {
 }
 
 fn cmd_analyze(args: &Args) -> Result<u64, String> {
-    // One pass feeds all model engines plus the profile. A mapped capture
-    // is decoded chunk-parallel: the segment index lets decode workers
-    // fill one shared in-order window. The output below the meta line is
-    // byte-identical for any worker count.
+    // One pass feeds the profile and one engine walk that carries every
+    // model as a lane. A mapped capture is decoded chunk-parallel: the
+    // segment index lets decode workers fill one shared in-order window.
+    // The output below the meta line is byte-identical for any worker
+    // count.
     let path = args.required("--trace")?;
     let timeline = arm_observability(args)?;
     let models: Vec<Model> = match args.get("--model") {
@@ -353,7 +354,10 @@ fn cmd_analyze(args: &Args) -> Result<u64, String> {
         .with_feed(|feed| partition::analyze_full(feed, &configs, runner.workers()))
         .map_err(|e| format!("read {path}: {e}"))?;
     let passes = models.len() as u64;
-    let meta = RunMeta::collect(runner.workers(), runner.effective_workers(configs.len() + 1));
+    let meta = RunMeta::collect(
+        runner.workers(),
+        runner.effective_workers(partition::analyze_sinks(&configs)),
+    );
     if args.has("--json") {
         let mut rows = Vec::new();
         for (model, r) in models.iter().zip(&reports) {

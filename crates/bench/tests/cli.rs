@@ -198,6 +198,58 @@ fn analyze_and_cuts_json_match_checked_in_fixtures() {
     }
 }
 
+/// `psim analyze --json` away from the default granularity, and for one
+/// model, on the capture of
+/// [`analyze_and_cuts_json_match_checked_in_fixtures`], at one worker and
+/// at three. The 64-byte run has accesses that span tracking blocks,
+/// evicts atomic blocks, and turns false sharing into conflicts.
+///
+/// After a deliberate output change, regenerate with:
+///
+/// ```sh
+/// psim capture --queue cwl --mode racing --threads 2 --inserts 1200 --seed 42 --out pin.trace
+/// psim analyze --trace pin.trace --json --atomic 64 --tracking 64 | grep -v '^  "meta"' \
+///     > crates/bench/tests/fixtures/analyze_cwl_racing_a64_t64.json
+/// psim analyze --trace pin.trace --json --model strand | grep -v '^  "meta"' \
+///     > crates/bench/tests/fixtures/analyze_cwl_racing_strand.json
+/// ```
+#[test]
+fn analyze_granularity_and_single_model_match_checked_in_fixtures() {
+    let trace = capture_racing("pinned_gran.trace", 1200);
+    for threads in ["1", "3"] {
+        assert_eq!(
+            below_meta(
+                &["analyze", "--trace", &trace, "--json", "--atomic", "64", "--tracking", "64"],
+                threads
+            ),
+            include_str!("fixtures/analyze_cwl_racing_a64_t64.json"),
+            "64-byte analyze at SWEEP_THREADS={threads}"
+        );
+        assert_eq!(
+            below_meta(&["analyze", "--trace", &trace, "--json", "--model", "strand"], threads),
+            include_str!("fixtures/analyze_cwl_racing_strand.json"),
+            "strand analyze at SWEEP_THREADS={threads}"
+        );
+    }
+}
+
+/// `psim analyze`'s meta line counts the workers its sinks can use: the
+/// profile and one engine walk for all five models.
+#[test]
+fn analyze_meta_counts_its_sinks() {
+    let trace = capture_racing("pinned_meta.trace", 40);
+    let out = psim()
+        .args(["analyze", "--trace", &trace, "--json"])
+        .env("SWEEP_THREADS", "4")
+        .output()
+        .expect("run psim analyze");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let meta = stdout.lines().find(|l| l.starts_with("  \"meta\"")).expect("meta line");
+    assert!(meta.contains("\"workers_configured\": 4"), "{meta}");
+    assert!(meta.contains("\"workers_effective\": 2"), "{meta}");
+}
+
 /// The same capture written as fixed-width MPTRACE1 reproduces the
 /// MPTRACE2 fixtures of `analyze` and `cuts` at one worker and at three,
 /// and the same `profile` report.

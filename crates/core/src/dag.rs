@@ -362,6 +362,7 @@ impl DagDomain {
 impl Domain for DagDomain {
     type Dep = Vec<u32>;
     type PRef = u32;
+    type Mask = bool;
 
     fn bottom(&self) -> Vec<u32> {
         Vec::new()

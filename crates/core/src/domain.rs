@@ -7,6 +7,7 @@
 //! observer). [`Domain`] abstracts over the representation; the engine in
 //! [`crate::engine`] is written once against it.
 
+use crate::rules::Rules;
 use mem_trace::ThreadId;
 use persist_mem::MemAddr;
 
@@ -33,16 +34,46 @@ pub struct EventRef {
     pub work: Option<u64>,
 }
 
+/// The set of a run's model lanes one rule applies to. A domain that
+/// analyzes one model uses `bool`; a domain that carries several models at
+/// once (lane *k* follows model *k*) uses a per-lane mask.
+pub(crate) trait Mask: Copy {
+    /// The mask holding lane *k* iff `f(lanes[k])`.
+    fn of(lanes: &[Rules], f: impl Fn(Rules) -> bool) -> Self;
+
+    /// Whether any lane is in the mask.
+    fn any(self) -> bool;
+}
+
+impl Mask for bool {
+    #[inline]
+    fn of(lanes: &[Rules], f: impl Fn(Rules) -> bool) -> bool {
+        assert_eq!(lanes.len(), 1, "a one-model domain runs one model lane");
+        f(lanes[0])
+    }
+
+    #[inline]
+    fn any(self) -> bool {
+        self
+    }
+}
+
 /// Representation of persist-order dependences.
 ///
 /// `Dep` is a join-semilattice element summarizing "the persists that must
 /// happen before"; `PRef` identifies an existing persist operation as a
 /// coalescing target.
+///
+/// The `*_where` operations apply to the lanes of a [`Mask`]. Their
+/// defaults treat the mask as all or nothing, which is exact for `bool`
+/// masks; a domain with several model lanes overrides them.
 pub(crate) trait Domain {
     /// Accumulated dependence constraint.
     type Dep: Clone;
     /// Handle to a created persist (coalescing target).
     type PRef: Copy;
+    /// The model lanes a rule applies to.
+    type Mask: Mask;
 
     /// The empty constraint.
     fn bottom(&self) -> Self::Dep;
@@ -113,5 +144,45 @@ pub(crate) trait Domain {
     /// engine clears block reader sets on every write).
     fn reset_dep(&self, dep: &mut Self::Dep) {
         *dep = self.bottom();
+    }
+
+    /// [`join`](Domain::join) in the lanes of `m`.
+    #[inline]
+    fn join_where(&mut self, into: &mut Self::Dep, from: &Self::Dep, m: Self::Mask) {
+        if m.any() {
+            self.join(into, from);
+        }
+    }
+
+    /// `*into = from.clone()` in the lanes of `m`.
+    #[inline]
+    fn assign_where(&mut self, into: &mut Self::Dep, from: &Self::Dep, m: Self::Mask) {
+        if m.any() {
+            into.clone_from(from);
+        }
+    }
+
+    /// [`assign_pref`](Domain::assign_pref) in the lanes of `m`.
+    #[inline]
+    fn assign_pref_where(&mut self, into: &mut Self::Dep, p: Self::PRef, m: Self::Mask) {
+        if m.any() {
+            self.assign_pref(into, p);
+        }
+    }
+
+    /// [`reset_dep`](Domain::reset_dep) in the lanes of `m`.
+    #[inline]
+    fn reset_where(&self, dep: &mut Self::Dep, m: Self::Mask) {
+        if m.any() {
+            self.reset_dep(dep);
+        }
+    }
+
+    /// [`fold`](Domain::fold) in the lanes of `m`.
+    #[inline]
+    fn fold_where(&mut self, prev: &mut Self::Dep, cur: &mut Self::Dep, index: usize, m: Self::Mask) {
+        if m.any() {
+            self.fold(prev, cur, index);
+        }
     }
 }

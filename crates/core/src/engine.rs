@@ -1,25 +1,34 @@
 //! Generic persist-order constraint propagation over a trace.
 //!
-//! Implements a model's [`Rules`](crate::rules::Rules) against any
-//! [`Domain`](crate::domain::Domain):
+//! Implements the persistency models' [`Rules`] against any [`Domain`]. A
+//! run carries one model per domain lane: scalar domains run one, and the
+//! timing engine's model-lane domain runs every model of a
+//! `psim analyze` in one walk. Each rule below is a [`Mask`] of the lanes
+//! it applies to, derived once per run from each lane's [`Rules`]:
 //!
 //! - **Thread state**: `prev` holds constraints that order all *future*
 //!   persists of the thread; `cur` accumulates constraints observed since
 //!   the last barrier. The rules' `order` says which event folds `cur` into
-//!   `prev`, and `strands()` whether `NewStrand` clears both.
+//!   `prev` (and whether accesses skip `cur`), and `strands()` whether
+//!   `NewStrand` clears both.
 //! - **Memory state**: each tracking-granularity block records the
 //!   constraint carried by its last writer and by readers since that write.
 //!   Accesses inherit these per the rules' `conflicts`, in the address
 //!   spaces it `tracks`.
 //! - **Coalescing**: every persist attempts to coalesce with the last
 //!   persist to its atomic-persist block; it may iff none of its incoming
-//!   dependences is newer than that persist.
+//!   dependences is newer than that persist. Lanes decide this on their
+//!   own through [`Domain::persist_onto`].
+//!
+//! Every lane of a run shares the trace, the atomic-persist and tracking
+//! granularities and the coalescing switch, so block lookups, persist
+//! detection and the last-persist table are shared too.
 
-use crate::domain::{Domain, EventRef, WriteRec};
-use crate::rules::{Conflicts, Order};
+use crate::domain::{Domain, EventRef, Mask, WriteRec};
+use crate::rules::{Conflicts, Order, Rules};
 use crate::AnalysisConfig;
 use mem_trace::{Event, Op};
-use persist_mem::FxHashMap;
+use persist_mem::{FxHashMap, Space};
 use std::collections::hash_map::Entry;
 use std::io;
 
@@ -38,6 +47,70 @@ struct BlockState<D: Domain> {
     writer: D::Dep,
     /// Join of constraints carried by reads since the last write.
     readers: D::Dep,
+}
+
+/// A run's rules as lane masks: lane *k* follows its model's [`Rules`].
+#[derive(Debug, Clone, Copy)]
+struct LaneRules<M> {
+    /// Accesses order the thread's later persists at once (`prev`).
+    every_access: M,
+    /// Accesses order them from the next fold on (`cur`).
+    epochs: M,
+    /// `PersistBarrier` folds the epoch.
+    persist_barrier: M,
+    /// `MemBarrier` folds the epoch.
+    mem_barrier: M,
+    /// `NewStrand` clears the thread's ordering state.
+    strands: M,
+    /// Conflict rules in the volatile address space.
+    volatile: SpaceRules<M>,
+    /// Conflict rules in the persistent address space.
+    persistent: SpaceRules<M>,
+}
+
+/// The conflict rules of one address space.
+#[derive(Debug, Clone, Copy)]
+struct SpaceRules<M> {
+    /// Some lane tracks this space: its blocks are looked up at all.
+    tracked: bool,
+    /// A write records its constraint as the block's last write.
+    writes: M,
+    /// Reads since the last write are recorded, and order later writes.
+    readers: M,
+    /// A persist records itself as the block's last write.
+    last_persist: M,
+}
+
+impl<M: Mask> LaneRules<M> {
+    fn new(lanes: &[Rules]) -> Self {
+        let of = |f: &dyn Fn(Rules) -> bool| M::of(lanes, f);
+        let space = |space: Space| {
+            let conflicts = |f: fn(Conflicts) -> bool| of(&|r| r.tracks(space) && f(r.conflicts));
+            SpaceRules {
+                tracked: lanes.iter().any(|r| r.tracks(space)),
+                writes: conflicts(|c| c != Conflicts::LastPersist),
+                readers: conflicts(|c| c == Conflicts::Sc),
+                last_persist: conflicts(|c| c == Conflicts::LastPersist),
+            }
+        };
+        LaneRules {
+            every_access: of(&|r| r.order == Order::EveryAccess),
+            epochs: of(&|r| r.order != Order::EveryAccess),
+            persist_barrier: of(&|r| r.order != Order::MemBarrier),
+            mem_barrier: of(&|r| r.order == Order::MemBarrier),
+            strands: of(&|r| r.strands()),
+            volatile: space(Space::Volatile),
+            persistent: space(Space::Persistent),
+        }
+    }
+
+    #[inline]
+    fn space(&self, space: Space) -> &SpaceRules<M> {
+        match space {
+            Space::Volatile => &self.volatile,
+            Space::Persistent => &self.persistent,
+        }
+    }
 }
 
 /// Aggregate statistics from an engine run.
@@ -111,7 +184,10 @@ struct RunState {
 /// blocks, the result is the same. Every consumer — in-memory traces,
 /// streaming sources, the partition driver — feeds the engine this way.
 pub(crate) struct Run<'s, D: Domain> {
+    /// The configuration of lane 0; every lane shares its non-model
+    /// fields.
     pub(crate) config: AnalysisConfig,
+    rules: LaneRules<D::Mask>,
     nthreads: usize,
     dom: D,
     scratch: &'s mut Scratch<D>,
@@ -119,14 +195,44 @@ pub(crate) struct Run<'s, D: Domain> {
 }
 
 impl<'s, D: Domain> Run<'s, D> {
+    /// Begins a one-model run.
     pub(crate) fn begin(
         config: &AnalysisConfig,
         nthreads: u32,
         dom: D,
         scratch: &'s mut Scratch<D>,
     ) -> Self {
+        Self::begin_lanes(std::slice::from_ref(config), nthreads, dom, scratch)
+    }
+
+    /// Begins a run whose lane *k* analyzes `lanes[k]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` is empty, if two lanes differ in anything but
+    /// their model, or if the domain's mask cannot hold `lanes.len()`
+    /// models.
+    pub(crate) fn begin_lanes(
+        lanes: &[AnalysisConfig],
+        nthreads: u32,
+        dom: D,
+        scratch: &'s mut Scratch<D>,
+    ) -> Self {
+        let config = lanes[0];
+        assert!(
+            lanes.iter().all(|c| AnalysisConfig { model: c.model, ..config } == *c),
+            "model lanes share every configuration field but the model"
+        );
+        let rules: Vec<Rules> = lanes.iter().map(|c| c.model.rules()).collect();
         scratch.reset(&dom, nthreads as usize);
-        Run { config: *config, nthreads: nthreads as usize, dom, scratch, state: RunState::default() }
+        Run {
+            config,
+            rules: LaneRules::new(&rules),
+            nthreads: nthreads as usize,
+            dom,
+            scratch,
+            state: RunState::default(),
+        }
     }
 
     /// Propagates one event block, in stream order.
@@ -136,12 +242,21 @@ impl<'s, D: Domain> Run<'s, D> {
     /// Returns `InvalidData` if an event names a thread outside the run's
     /// thread count.
     pub(crate) fn push_events(&mut self, events: &[Event]) -> io::Result<()> {
-        push_events(&self.config, self.nthreads, &mut self.dom, self.scratch, &mut self.state, events)
+        push_events(
+            &self.config,
+            &self.rules,
+            self.nthreads,
+            &mut self.dom,
+            self.scratch,
+            &mut self.state,
+            events,
+        )
     }
 
     /// Ends the run, emitting the end-of-run observability counters
     /// (aggregate-only: totals are a function of the trace and config,
     /// never of scheduling, so the merged snapshot stays deterministic).
+    /// A run counts once however many lanes it carries.
     pub(crate) fn finish(self) -> (D, EngineStats) {
         let stats = self.state.stats;
         if obsv::enabled() {
@@ -166,13 +281,13 @@ impl<'s, D: Domain> Run<'s, D> {
 /// Returns `InvalidData` if an event names a thread `>= nthreads`.
 fn push_events<D: Domain>(
     config: &AnalysisConfig,
+    rules: &LaneRules<D::Mask>,
     nthreads: usize,
     dom: &mut D,
     scratch: &mut Scratch<D>,
     state: &mut RunState,
     events: &[Event],
 ) -> io::Result<()> {
-    let rules = config.model.rules();
     let tracking = config.tracking;
     let atomic = config.atomic_persist;
 
@@ -204,24 +319,27 @@ fn push_events<D: Domain>(
                 //    loop. Spanning accesses take the general two-pass walk.
                 input.clone_from(&threads[t].prev);
                 let single = tracking.contains_access(addr, len as u64);
-                let mut fast: Option<&mut BlockState<D>> = None;
+                let mut fast: Option<(&mut BlockState<D>, &SpaceRules<D::Mask>)> = None;
                 if single {
                     let blk = tracking.block_of(addr);
-                    if rules.tracks(blk.space) {
+                    let space = rules.space(blk.space);
+                    if space.tracked {
                         let bs =
                             blocks.entry(blk.to_bits()).or_insert_with(|| BlockState {
                                 writer: dom.bottom(),
                                 readers: dom.bottom(),
                             });
-                        inherit(dom, rules.conflicts, input, bs, is_write);
-                        fast = Some(bs);
+                        inherit(dom, space, input, bs, is_write);
+                        fast = Some((bs, space));
                     }
                 } else {
-                    for blk in
-                        tracking.blocks_of(addr, len as u64).filter(|b| rules.tracks(b.space))
-                    {
+                    for blk in tracking.blocks_of(addr, len as u64) {
+                        let space = rules.space(blk.space);
+                        if !space.tracked {
+                            continue;
+                        }
                         if let Some(bs) = blocks.get(&blk.to_bits()) {
-                            inherit(dom, rules.conflicts, input, bs, is_write);
+                            inherit(dom, space, input, bs, is_write);
                         }
                     }
                 }
@@ -276,56 +394,56 @@ fn push_events<D: Domain>(
 
                 // 3. Update block state.
                 if single {
-                    if let Some(bs) = fast {
-                        update(dom, rules.conflicts, out, bs, is_write, persist_ref);
+                    if let Some((bs, space)) = fast {
+                        update(dom, space, out, bs, is_write, persist_ref);
                     }
                 } else {
-                    for blk in
-                        tracking.blocks_of(addr, len as u64).filter(|b| rules.tracks(b.space))
-                    {
+                    for blk in tracking.blocks_of(addr, len as u64) {
+                        let space = rules.space(blk.space);
+                        if !space.tracked {
+                            continue;
+                        }
                         let bs = blocks.entry(blk.to_bits()).or_insert_with(|| BlockState {
                             writer: dom.bottom(),
                             readers: dom.bottom(),
                         });
-                        update(dom, rules.conflicts, out, bs, is_write, persist_ref);
+                        update(dom, space, out, bs, is_write, persist_ref);
                     }
                 }
 
                 // 4. Update thread state: the access orders the thread's
                 //    later persists now, or at the next barrier.
                 let ThreadState { prev, cur, .. } = &mut threads[t];
-                dom.join(if rules.order == Order::EveryAccess { prev } else { cur }, out);
+                dom.join_where(prev, out, rules.every_access);
+                dom.join_where(cur, out, rules.epochs);
             }
             Op::PersistBarrier => {
                 stats.barriers += 1;
                 // Persistency coupled to relaxed consistency has no persist
                 // barriers of its own.
-                if rules.order != Order::MemBarrier {
-                    fold_epoch(dom, &mut threads[t], index);
-                }
+                let ThreadState { prev, cur, .. } = &mut threads[t];
+                dom.fold_where(prev, cur, index, rules.persist_barrier);
             }
             Op::PersistSync => {
                 // A sync stalls execution until persists drain, which
                 // orders every earlier persist before every later one
                 // under any model.
                 stats.barriers += 1;
-                fold_epoch(dom, &mut threads[t], index);
+                let ThreadState { prev, cur, .. } = &mut threads[t];
+                dom.fold(prev, cur, index);
             }
             Op::MemBarrier => {
                 // A consistency barrier orders store visibility, which is
                 // persist order only where persistency is coupled to it
                 // (§4.2).
-                if rules.order == Order::MemBarrier {
-                    fold_epoch(dom, &mut threads[t], index);
-                }
+                let ThreadState { prev, cur, .. } = &mut threads[t];
+                dom.fold_where(prev, cur, index, rules.mem_barrier);
             }
             Op::NewStrand => {
                 stats.strands += 1;
-                if rules.strands() {
-                    let st = &mut threads[t];
-                    dom.reset_dep(&mut st.prev);
-                    dom.reset_dep(&mut st.cur);
-                }
+                let ThreadState { prev, cur, .. } = &mut threads[t];
+                dom.reset_where(prev, rules.strands);
+                dom.reset_where(cur, rules.strands);
             }
             Op::WorkBegin { id } => threads[t].work = Some(id),
             Op::WorkEnd { .. } => {
@@ -338,68 +456,55 @@ fn push_events<D: Domain>(
     Ok(())
 }
 
-/// Folds a thread's epoch-local constraint into its per-thread prefix at
-/// the barrier at trace index `index`, keeping the epoch buffer's storage
-/// for the next epoch.
-#[inline]
-fn fold_epoch<D: Domain>(dom: &mut D, st: &mut ThreadState<D>, index: usize) {
-    let ThreadState { prev, cur, .. } = st;
-    dom.fold(prev, cur, index);
-}
-
 /// Folds the conflict constraints a block's state imposes on an incoming
 /// access into `input`: every access is ordered after the block's last
 /// write record, and under SC conflicts a write also after every read
 /// since (load-before-store).
+///
+/// The last-write join needs no mask: a lane that does not track this
+/// space never records into the block, so its part of `writer` stays
+/// bottom.
 #[inline]
 fn inherit<D: Domain>(
     dom: &mut D,
-    conflicts: Conflicts,
+    space: &SpaceRules<D::Mask>,
     input: &mut D::Dep,
     bs: &BlockState<D>,
     is_write: bool,
 ) {
     dom.join(input, &bs.writer);
-    if is_write && conflicts == Conflicts::Sc {
-        dom.join(input, &bs.readers);
+    if is_write {
+        dom.join_where(input, &bs.readers, space.readers);
     }
 }
 
-/// Records an access's outgoing constraint in a block's state.
+/// Records an access's outgoing constraint in a block's state, per lane
+/// by its conflict rule:
+///
+/// - SC conflicts keep the last write and the reads since;
+/// - persistent writes keep the last write only: reads leave no record,
+///   the R→W race BPFS's per-line epoch tags miss;
+/// - last persist keeps only the persist itself: reads inherit the last
+///   persist (the §5.3 "read then barrier then persist" idiom), but
+///   non-persist context never flows through memory.
 #[inline]
 fn update<D: Domain>(
     dom: &mut D,
-    conflicts: Conflicts,
+    space: &SpaceRules<D::Mask>,
     out: &D::Dep,
     bs: &mut BlockState<D>,
     is_write: bool,
     persist_ref: Option<D::PRef>,
 ) {
-    match conflicts {
-        Conflicts::Sc => {
-            if is_write {
-                bs.writer.clone_from(out);
-                // The write's constraint dominates prior readers (they fed
-                // its input).
-                dom.reset_dep(&mut bs.readers);
-            } else {
-                dom.join(&mut bs.readers, out);
-            }
-        }
-        Conflicts::PersistentWrites => {
-            if is_write {
-                bs.writer.clone_from(out);
-            }
-            // Reads leave no record: the R→W race is the conflict BPFS's
-            // per-line epoch tags miss.
-        }
-        Conflicts::LastPersist => {
-            // Only the persist itself is remembered: reads inherit the last
-            // persist (the §5.3 "read then barrier then persist" idiom), but
-            // non-persist context never flows through memory.
-            if let Some(p) = persist_ref {
-                dom.assign_pref(&mut bs.writer, p);
-            }
-        }
+    if is_write {
+        dom.assign_where(&mut bs.writer, out, space.writes);
+        // The write's constraint dominates prior readers (they fed its
+        // input).
+        dom.reset_where(&mut bs.readers, space.readers);
+    } else {
+        dom.join_where(&mut bs.readers, out, space.readers);
+    }
+    if let Some(p) = persist_ref {
+        dom.assign_pref_where(&mut bs.writer, p, space.last_persist);
     }
 }

@@ -1,14 +1,16 @@
 //! Chunked-parallel analysis over segment-indexed traces.
 //!
 //! Billion-event captures make the `psim analyze` pipeline — one streaming
-//! profile pass plus one engine pass per persistency model — decode the
-//! same bytes N+1 times on one core. Here every analysis is a *sink*: an
-//! incremental pass that takes event blocks in stream order (a
+//! profile pass plus the timing analysis of every persistency model —
+//! worth decoding once, on several cores. Here every analysis is a
+//! *sink*: an incremental pass that takes event blocks in stream order (a
 //! [`TraceProfile`] run, a timing engine run, a [`PersistDag`] build). One
-//! driver decodes each chunk of a [`ChunkFeed`] once and pushes it into N
-//! sinks, keeping every result **bit-identical to the sequential engines
-//! for any worker count**. [`analyze_full`] drives the profile plus one
-//! timing run per config; [`build_dag`] drives a single DAG build.
+//! driver decodes each chunk of a [`ChunkFeed`] once and pushes it into
+//! every sink, keeping every result **bit-identical to the sequential
+//! engines for any worker count**. [`analyze_full`] drives the profile
+//! plus one timing walk per group of configs that differ only in their
+//! model — each model a lane of the walk, so the default five models make
+//! two sinks; [`build_dag`] drives a single DAG build.
 //!
 //! - With one worker or one chunk (an unindexed file, say) the calling
 //!   thread decodes each chunk and pushes it into every sink in turn; no
@@ -31,7 +33,7 @@
 use crate::dag::{DagError, PersistDag};
 use crate::domain::Domain;
 use crate::engine;
-use crate::timing::{Analyzer, TimingReport};
+use crate::timing::{LaneAnalyzer, TimingReport, MODEL_LANES};
 use crate::AnalysisConfig;
 use mem_trace::mmapio::MappedTrace;
 use mem_trace::profile::{ProfileRun, TraceProfile};
@@ -177,15 +179,19 @@ type Sink<'a> = &'a mut (dyn ChunkSink + Send);
 /// [`TimingReport`] per config — everything `psim analyze` computes.
 ///
 /// Chunks are decoded once, by up to `workers` threads, and pushed into
-/// the profile and every config's engine run. Results are bit-identical
-/// to running [`TraceProfile::of_source`] and
-/// [`Analyzer::analyze_source`] sequentially, for any `workers`.
+/// the profile and into one engine walk per group of configs that differ
+/// only in their model: each config is a lane of its group's walk, with
+/// as many lanes to a walk as there are models ([`analyze_sinks`] counts
+/// the sinks). Results are bit-identical to running
+/// [`TraceProfile::of_source`] and
+/// [`Analyzer::analyze_source`](crate::timing::Analyzer::analyze_source)
+/// sequentially, for any `workers`, and come back in `configs` order.
 ///
 /// # Errors
 ///
 /// Propagates decode/analysis errors: the one at the earliest chunk,
-/// within a chunk the profile's before the configs' (in order) — the same
-/// error for any `workers`.
+/// within a chunk the profile's before the engines' — the same error for
+/// any `workers`.
 pub fn analyze_full<F>(
     feed: &F,
     configs: &[AnalysisConfig],
@@ -195,15 +201,51 @@ where
     F: ChunkFeed + ?Sized,
 {
     let nthreads = feed.thread_count();
+    let groups = lane_groups(configs);
     let mut profile = TraceProfile::begin(nthreads);
-    let mut analyzers: Vec<Analyzer> = configs.iter().map(|_| Analyzer::new()).collect();
-    let mut runs: Vec<_> =
-        analyzers.iter_mut().zip(configs).map(|(a, config)| a.begin(config, nthreads)).collect();
+    let mut analyzers: Vec<LaneAnalyzer> = groups.iter().map(|_| LaneAnalyzer::new()).collect();
+    let mut runs: Vec<_> = analyzers
+        .iter_mut()
+        .zip(&groups)
+        .map(|(a, group)| {
+            let lanes: Vec<AnalysisConfig> = group.iter().map(|&i| configs[i]).collect();
+            a.begin(&lanes, nthreads)
+        })
+        .collect();
     let mut sinks: Vec<Sink<'_>> = std::iter::once(&mut profile as Sink<'_>)
         .chain(runs.iter_mut().map(|run| run as Sink<'_>))
         .collect();
     drive(feed, workers, &mut sinks)?;
-    Ok((profile.finish(), runs.into_iter().map(|run| run.report()).collect()))
+    let mut reports = vec![None; configs.len()];
+    for (run, group) in runs.into_iter().zip(&groups) {
+        for (report, &i) in run.reports().into_iter().zip(group) {
+            reports[i] = Some(report);
+        }
+    }
+    Ok((profile.finish(), reports.into_iter().map(|r| r.expect("every config has a lane")).collect()))
+}
+
+/// The number of sinks [`analyze_full`] drives for `configs`: the profile
+/// plus one engine walk per lane group.
+pub fn analyze_sinks(configs: &[AnalysisConfig]) -> usize {
+    1 + lane_groups(configs).len()
+}
+
+/// Splits `configs` into the lane groups of [`analyze_full`]: indices of
+/// configs equal in every field but the model, at most [`MODEL_LANES`] to
+/// a group, groups in order of their first config.
+fn lane_groups(configs: &[AnalysisConfig]) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (i, c) in configs.iter().enumerate() {
+        let joins = |g: &&mut Vec<usize>| {
+            g.len() < MODEL_LANES && AnalysisConfig { model: c.model, ..configs[g[0]] } == *c
+        };
+        match groups.iter_mut().find(joins) {
+            Some(group) => group.push(i),
+            None => groups.push(vec![i]),
+        }
+    }
+    groups
 }
 
 /// Builds the persist DAG of the feed's event stream under `config`,

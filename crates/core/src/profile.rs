@@ -258,6 +258,8 @@ impl Domain for LaneDomain {
     type Dep = [u32; LANES];
     /// Per-lane level of the persist.
     type PRef = [u32; LANES];
+    /// Every lane follows the one model: rules apply to all or none.
+    type Mask = bool;
 
     fn bottom(&self) -> Self::Dep {
         [0; LANES]

@@ -13,10 +13,15 @@
 //! persists that the exact reachability check of [`crate::dag`] would
 //! refuse; the DAG engine is therefore an upper bound on the critical path
 //! and is the one used for recovery-correctness analyses.
+//!
+//! Several configs that differ only in their model run as lanes of one
+//! engine walk ([`ModelLanes`]); lane *k* equals the one-model analysis of
+//! config *k*.
 
-use crate::domain::{Domain, EventRef, WriteRec};
+use crate::domain::{Domain, EventRef, Mask, WriteRec};
 use crate::engine::{self, EngineStats};
-use crate::AnalysisConfig;
+use crate::rules::Rules;
+use crate::{AnalysisConfig, Model};
 use mem_trace::{EventSource, Trace};
 use std::io;
 
@@ -34,6 +39,7 @@ impl Domain for LevelDomain {
     /// A persist is identified by its level (identity beyond the level is
     /// irrelevant for timing).
     type PRef = u64;
+    type Mask = bool;
 
     fn bottom(&self) -> u64 {
         0
@@ -60,6 +66,154 @@ impl Domain for LevelDomain {
 
     fn dep_of(&self, p: u64) -> u64 {
         p
+    }
+}
+
+/// Most model lanes one walk carries: one per model.
+pub(crate) const MODEL_LANES: usize = Model::ALL.len();
+
+/// Per-lane values of the [`ModelLanes`] domain.
+type Levels = [u64; MODEL_LANES];
+
+/// The lanes of a [`ModelLanes`] walk a rule applies to: all ones in a
+/// lane that it applies to, zero elsewhere, so masking a level is one
+/// `and` (bottom is 0).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LaneMask(Levels);
+
+impl Mask for LaneMask {
+    /// Lanes past `lanes.len()` are in no mask.
+    fn of(lanes: &[Rules], f: impl Fn(Rules) -> bool) -> Self {
+        assert!(lanes.len() <= MODEL_LANES, "{} model lanes, at most {MODEL_LANES}", lanes.len());
+        let mut m = [0; MODEL_LANES];
+        for (m, &r) in m.iter_mut().zip(lanes) {
+            *m = if f(r) { u64::MAX } else { 0 };
+        }
+        LaneMask(m)
+    }
+
+    fn any(self) -> bool {
+        self.0.iter().any(|&m| m != 0)
+    }
+}
+
+/// The level domain of [`LevelDomain`], one level per model lane: lane
+/// *k* is the analysis of `configs[k]`. Levels are `u64` like the scalar
+/// domain's, so a lane overflows only where the scalar analysis would.
+#[derive(Debug)]
+pub(crate) struct ModelLanes {
+    configs: Vec<AnalysisConfig>,
+    /// Per-lane critical path so far.
+    max_level: Levels,
+    /// Per-lane persists that coalesced.
+    coalesced: Levels,
+}
+
+impl ModelLanes {
+    fn new(configs: &[AnalysisConfig]) -> Self {
+        ModelLanes {
+            configs: configs.to_vec(),
+            max_level: [0; MODEL_LANES],
+            coalesced: [0; MODEL_LANES],
+        }
+    }
+
+    #[inline]
+    fn note(&mut self, p: &Levels) {
+        for (m, &l) in self.max_level.iter_mut().zip(p) {
+            *m = (*m).max(l);
+        }
+    }
+}
+
+impl Domain for ModelLanes {
+    /// Per-lane maximum level ordered before.
+    type Dep = Levels;
+    /// Per-lane level of the persist.
+    type PRef = Levels;
+    type Mask = LaneMask;
+
+    fn bottom(&self) -> Levels {
+        [0; MODEL_LANES]
+    }
+
+    #[inline]
+    fn join(&mut self, into: &mut Levels, from: &Levels) {
+        for (i, &f) in into.iter_mut().zip(from) {
+            *i = (*i).max(f);
+        }
+    }
+
+    #[inline]
+    fn new_persist(&mut self, input: &Levels, _w: WriteRec, _ev: EventRef) -> Levels {
+        let p = input.map(|l| l + 1);
+        self.note(&p);
+        p
+    }
+
+    fn can_coalesce(&self, input: &Levels, target: Levels) -> bool {
+        input.iter().zip(&target).all(|(i, t)| i <= t)
+    }
+
+    fn coalesce(&mut self, _target: Levels, _w: WriteRec, _ev: EventRef) {}
+
+    fn dep_of(&self, p: Levels) -> Levels {
+        p
+    }
+
+    /// Each lane coalesces or not on its own levels, and counts its own
+    /// coalesced persists. The run's shared count is of persists that
+    /// coalesced in every lane.
+    #[inline]
+    fn persist_onto(
+        &mut self,
+        input: &Levels,
+        target: Levels,
+        _w: WriteRec,
+        _ev: EventRef,
+    ) -> (Levels, bool) {
+        let mut p = [0; MODEL_LANES];
+        let mut all = true;
+        for k in 0..MODEL_LANES {
+            let merge = input[k] <= target[k];
+            p[k] = if merge { target[k] } else { input[k] + 1 };
+            self.coalesced[k] += merge as u64;
+            all &= merge;
+        }
+        self.note(&p);
+        (p, all)
+    }
+
+    #[inline]
+    fn join_where(&mut self, into: &mut Levels, from: &Levels, m: LaneMask) {
+        for k in 0..MODEL_LANES {
+            into[k] = into[k].max(from[k] & m.0[k]);
+        }
+    }
+
+    #[inline]
+    fn assign_where(&mut self, into: &mut Levels, from: &Levels, m: LaneMask) {
+        for k in 0..MODEL_LANES {
+            into[k] = (from[k] & m.0[k]) | (into[k] & !m.0[k]);
+        }
+    }
+
+    #[inline]
+    fn assign_pref_where(&mut self, into: &mut Levels, p: Levels, m: LaneMask) {
+        self.assign_where(into, &p, m);
+    }
+
+    #[inline]
+    fn reset_where(&self, dep: &mut Levels, m: LaneMask) {
+        for (d, &m) in dep.iter_mut().zip(&m.0) {
+            *d &= !m;
+        }
+    }
+
+    #[inline]
+    fn fold_where(&mut self, prev: &mut Levels, cur: &mut Levels, _index: usize, m: LaneMask) {
+        self.join_where(prev, cur, m);
+        self.reset_where(cur, m);
     }
 }
 
@@ -194,6 +348,58 @@ impl TimingRun<'_> {
             obsv::observe("timing.critical_path", dom.max_level);
         }
         TimingReport { config, critical_path: dom.max_level, persist_nodes: dom.nodes, stats }
+    }
+}
+
+/// Reusable working state for analyses run as model lanes of one walk
+/// (see [`ModelLanes`]).
+pub(crate) struct LaneAnalyzer {
+    scratch: engine::Scratch<ModelLanes>,
+}
+
+impl LaneAnalyzer {
+    pub(crate) fn new() -> Self {
+        LaneAnalyzer { scratch: engine::Scratch::new(&ModelLanes::new(&[])) }
+    }
+
+    /// Begins one walk whose lane *k* analyzes `configs[k]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `configs` is empty, holds more than [`MODEL_LANES`]
+    /// configs, or holds two that differ in anything but the model.
+    pub(crate) fn begin(&mut self, configs: &[AnalysisConfig], nthreads: u32) -> LaneRun<'_> {
+        engine::Run::begin_lanes(configs, nthreads, ModelLanes::new(configs), &mut self.scratch)
+    }
+}
+
+/// An in-progress model-lane analysis (see [`LaneAnalyzer::begin`]).
+pub(crate) type LaneRun<'s> = engine::Run<'s, ModelLanes>;
+
+impl LaneRun<'_> {
+    /// Completes the walk: one report per lane, in lane order, each equal
+    /// to [`Analyzer::analyze_source`]'s for its config. Only the critical
+    /// path and the coalescing counts differ between lanes; every other
+    /// statistic is a property of the trace.
+    pub(crate) fn reports(self) -> Vec<TimingReport> {
+        let (dom, stats) = self.finish();
+        dom.configs
+            .iter()
+            .enumerate()
+            .map(|(k, &config)| {
+                let coalesced = dom.coalesced[k];
+                if obsv::enabled() {
+                    obsv::counter_add("timing.analyses", 1);
+                    obsv::observe("timing.critical_path", dom.max_level[k]);
+                }
+                TimingReport {
+                    config,
+                    critical_path: dom.max_level[k],
+                    persist_nodes: stats.persist_ops - coalesced,
+                    stats: EngineStats { coalesced, ..stats },
+                }
+            })
+            .collect()
     }
 }
 
@@ -587,6 +793,29 @@ mod tests {
         let r = analyze(&t, &cfg(Model::Strict));
         assert_eq!(r.stats.work_items, 4);
         assert_eq!(r.critical_path_per_work(), 1.0);
+    }
+
+    #[test]
+    fn lanes_report_an_out_of_range_thread_like_the_scalar_engine() {
+        let mut events = run1(|ctx| {
+            let a = ctx.palloc(64, 8).unwrap();
+            ctx.store_u64(a, 1);
+            ctx.persist_barrier();
+            ctx.store_u64(a, 2);
+        })
+        .events()
+        .to_vec();
+        events[2].thread = mem_trace::ThreadId(4);
+        let trace = Trace::from_events(1, events);
+        let configs = Model::ALL.map(cfg);
+        for lanes in [&configs[..1], &configs[..]] {
+            let scalar = Analyzer::new().analyze_source(trace.source(), &lanes[0]).unwrap_err();
+            let mut analyzer = LaneAnalyzer::new();
+            let mut run = analyzer.begin(lanes, trace.thread_count());
+            let err = run.push_events(trace.events()).unwrap_err();
+            assert_eq!(err.kind(), scalar.kind());
+            assert_eq!(err.to_string(), scalar.to_string());
+        }
     }
 
     #[test]

@@ -219,7 +219,7 @@ impl ChunkFeed for FailingChunks<'_> {
 
 #[test]
 fn analysis_errors_do_not_depend_on_worker_count() {
-    // Every event of a bad chunk fails the profile and all five engines
+    // Every event of a bad chunk fails the profile and the engine walk
     // alike; the profile is the first sink, so its error is the one a
     // sequential pass meets and the one every worker count must return.
     let profile_error = "event names a thread outside the trace's thread count";
