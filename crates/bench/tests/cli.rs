@@ -356,6 +356,48 @@ fn profile_json_matches_checked_in_fixtures() {
     }
 }
 
+/// `psim profile --json` on the smallest seed-42 two-thread 2LC captures
+/// whose persist DAGs run past the 32 chains of the DAG's reachability
+/// index (2 inserts per thread under strand, 206 under epoch), so the
+/// off-chain fallback is pinned end to end. Below the meta line the
+/// output must reproduce checked-in bytes at one worker and at three.
+///
+/// After a deliberate output change, regenerate with:
+///
+/// ```sh
+/// psim capture --queue 2lc --threads 2 --inserts 2 --seed 42 --out strand.trace
+/// psim profile --trace strand.trace --model strand --barriers 13 --json | grep -v '^  "meta"' \
+///     > crates/bench/tests/fixtures/profile_2lc_strand.json
+/// psim capture --queue 2lc --threads 2 --inserts 206 --seed 42 --out epoch.trace
+/// psim profile --trace epoch.trace --model epoch --barriers 13 --json | grep -v '^  "meta"' \
+///     > crates/bench/tests/fixtures/profile_2lc_epoch.json
+/// ```
+#[test]
+fn wide_dag_profiles_match_checked_in_fixtures() {
+    let cases = [
+        ("strand", 2, include_str!("fixtures/profile_2lc_strand.json")),
+        ("epoch", 206, include_str!("fixtures/profile_2lc_epoch.json")),
+    ];
+    for (model, inserts, want) in cases {
+        let trace = tmp(&format!("profile_2lc_{model}.trace"));
+        let out = psim()
+            .args([
+                "capture", "--queue", "2lc", "--threads", "2", "--inserts", &inserts.to_string(),
+                "--seed", "42", "--out", &trace,
+            ])
+            .output()
+            .expect("run psim capture");
+        assert!(out.status.success(), "capture failed: {}", String::from_utf8_lossy(&out.stderr));
+        for threads in ["1", "3"] {
+            let got = below_meta(
+                &["profile", "--trace", &trace, "--model", model, "--barriers", "13", "--json"],
+                threads,
+            );
+            assert_eq!(got, want, "2LC profile {model} at SWEEP_THREADS={threads}");
+        }
+    }
+}
+
 /// `psim crash-fuzz --json` over every structure and model with torn
 /// persists, below the meta line, must reproduce checked-in bytes at one
 /// worker and at three. The four relaxed-model cells of the barrier-elided

@@ -14,10 +14,18 @@
 //! depth-first search over the dependence edges, pruned by topological
 //! level (a node's ancestors all have strictly smaller level) and by
 //! creation order (dependences always point backwards). The DFS reuses a
-//! pooled stamp-marked visited arena, so construction does no per-node
-//! quadratic work and queries allocate nothing — the old implementation
-//! kept a full reachability bitset per node, which made construction
-//! O(n²) in both time and memory and capped traces at 100k persists.
+//! pooled stamp-marked visited arena, so queries allocate nothing.
+//!
+//! Construction propagates *chain-clock frontiers* (`Frontier`): every
+//! dependence value is the sorted maximal antichain of its down-set plus
+//! that down-set's per-chain watermarks, the same vector a node's index
+//! row holds. A join is a no-op exactly when one clock is below the other
+//! (and the few off-chain members are covered); otherwise one merge pass
+//! keeps each member the other side's clock does not cover. Coalescing
+//! compares the input's clock with the target's row, and a new node's row
+//! is a copy of its input's clock. Only members off the index take the
+//! DFS, so a join costs O(chains + members) instead of one reachability
+//! query per pair of members.
 
 use crate::domain::{Domain, EventRef, WriteRec};
 use crate::engine::{self, EngineStats};
@@ -113,17 +121,18 @@ const MAX_CHAINS: usize = 32;
 
 /// Constant-time reachability via greedy chain decomposition.
 ///
-/// Every node is appended to a *chain* — a path in the DAG — when one of
-/// its direct dependences is currently the tip of one (else it opens a new
-/// chain, up to [`MAX_CHAINS`]). Each node stores a pooled row holding, per
-/// chain, the highest chain position among its ancestors. Because a chain
-/// is a path, reaching position `p` of a chain means reaching every earlier
-/// position, so `by` reaches `x` iff `row(by)[chain(x)] >= pos(x)`.
+/// Every node is appended to a *chain* — a path in the DAG — when it
+/// reaches the current tip of one (else it opens a new chain, up to
+/// [`MAX_CHAINS`]). Each node stores a pooled *row* holding, per chain, the
+/// highest chain position in its down-set (the node and its ancestors).
+/// Because a chain is a path, reaching position `p` of a chain means
+/// reaching every earlier position, so `by` reaches `x` iff
+/// `row(by)[chain(x)] >= pos(x)`.
 ///
-/// Rows are the elementwise max of the dependences' rows (computed once at
-/// node creation, like the incremental `levels`), packed into one pooled
-/// buffer — construction is O(deps · chains) per node with no per-node
-/// allocation, queries are O(1).
+/// A node's row is the chain clock of its incoming constraint (see
+/// `Frontier`) plus its own position, trimmed of trailing zeros and
+/// packed into one pooled buffer — construction copies one clock per node
+/// with no per-node allocation, queries are O(1).
 #[derive(Debug, Clone, Default)]
 pub struct ReachIndex {
     /// Chain of each node (`u16::MAX` = none; query falls back to DFS).
@@ -136,116 +145,125 @@ pub struct ReachIndex {
     tip_pos: Vec<u32>,
     /// Start of each node's row in `pool`.
     off: Vec<u32>,
-    /// Row width of each node (number of chains existing at creation).
+    /// Row length of each node (rows are trimmed of trailing zeros).
     width: Vec<u16>,
     /// Packed rows: `pool[off[v]..off[v] + width[v]]`.
     pool: Vec<u32>,
 }
 
 impl ReachIndex {
-    /// Registers the next node (id = current length) with direct
-    /// dependences `deps`.
-    fn add_node(&mut self, deps: &[u32]) {
+    /// Registers the next node (id = current length), whose incoming
+    /// constraint has members `deps` and stored clock `clock` (see
+    /// `Frontier`). Returns `false` if no chain could take the node:
+    /// queries for it fall back to the DFS.
+    fn add_node(&mut self, deps: &[u32], clock: &[u32]) -> bool {
         let id = self.chain.len() as u32;
-        let w = self.tips.len();
         let off = self.pool.len();
         self.off.push(off as u32);
-        // Row = elementwise max over dependences' rows; one spare slot in
-        // case this node opens a new chain. Dependences' rows all live
-        // strictly before `off` in the pool, so the borrow splits cleanly.
-        self.pool.resize(off + w + 1, 0);
-        let (done, row) = self.pool.split_at_mut(off);
-        for &d in deps {
-            let doff = self.off[d as usize] as usize;
-            let dw = self.width[d as usize] as usize;
-            for (r, &v) in row[..dw].iter_mut().zip(&done[doff..doff + dw]) {
-                if v > *r {
-                    *r = v;
-                }
-            }
+        match *deps {
+            [p] => self.pool.extend_from_within(self.span(p)),
+            _ => self.pool.extend_from_slice(clock),
         }
         // A chain may be extended by ANY node that reaches its current tip
-        // (not just a direct successor): the row already answers that —
+        // (not just a direct successor): the clock already answers that —
         // the tip holds the chain's maximal position, so reaching it means
-        // `row[c] == tip_pos[c]`. This keeps the number of chains near the
-        // DAG's antichain width instead of growing with every fan-out.
-        let mut chain = u16::MAX;
-        let mut pos = 0u32;
-        for c in 0..w {
-            if row[c] == self.tip_pos[c] && row[c] > 0 {
-                chain = c as u16;
-                pos = row[c] + 1;
+        // `clock[c] == tip_pos[c]`. This keeps the number of chains near
+        // the DAG's antichain width instead of growing with every fan-out.
+        let clock = &self.pool[off..];
+        let tip = (0..clock.len()).find(|&c| clock[c] > 0 && clock[c] == self.tip_pos[c]);
+        let (chain, pos) = match tip {
+            Some(c) => {
+                let pos = clock[c] + 1;
                 self.tips[c] = id;
                 self.tip_pos[c] = pos;
-                row[c] = pos;
-                break;
+                self.pool[off + c] = pos;
+                (c as u16, pos)
             }
-        }
-        if chain == u16::MAX && w < MAX_CHAINS {
-            chain = w as u16;
-            pos = 1;
-            self.tips.push(id);
-            self.tip_pos.push(1);
-            row[w] = 1;
-            self.width.push((w + 1) as u16);
-        } else {
-            self.width.push(w as u16);
-            self.pool.truncate(off + w);
-        }
+            None if self.tips.len() < MAX_CHAINS => {
+                // The clock is no longer than the chains that exist.
+                let c = self.tips.len();
+                self.tips.push(id);
+                self.tip_pos.push(1);
+                self.pool.resize(off + c, 0);
+                self.pool.push(1);
+                (c as u16, 1)
+            }
+            None => (u16::MAX, 0),
+        };
+        self.width.push((self.pool.len() - off) as u16);
         self.chain.push(chain);
         self.pos.push(pos);
+        chain != u16::MAX
     }
 
     /// Number of chains (diagnostics).
     #[doc(hidden)]
     pub fn chains(&self) -> usize { self.tips.len() }
 
+    /// Where node `v`'s row lies in `pool`.
+    #[inline]
+    fn span(&self, v: u32) -> std::ops::Range<usize> {
+        let off = self.off[v as usize] as usize;
+        off..off + self.width[v as usize] as usize
+    }
+
+    /// The chain clock of node `v`'s down-set.
+    #[inline]
+    fn row(&self, v: u32) -> &[u32] {
+        &self.pool[self.span(v)]
+    }
+
+    /// Chain and position of node `x`, or `None` if it is off-chain.
+    #[inline]
+    fn place(&self, x: u32) -> Option<(usize, u32)> {
+        let c = self.chain[x as usize];
+        (c != u16::MAX).then(|| (c as usize, self.pos[x as usize]))
+    }
+
     /// `Some(answer)` if the index can decide whether `by` reaches `x`
     /// (both ids already validated, `x < by`); `None` if `x` is off-chain
     /// and the caller must fall back to the DFS.
     #[inline]
     fn query(&self, by: u32, x: u32) -> Option<bool> {
-        let cx = self.chain[x as usize];
-        if cx == u16::MAX {
-            return None;
-        }
-        if cx >= self.width[by as usize] {
-            // Chain `cx` did not exist when `by` was created, so every
-            // member of it is newer than `by`.
-            return Some(false);
-        }
-        let row = self.off[by as usize] as usize + cx as usize;
-        Some(self.pool[row] >= self.pos[x as usize])
+        let (c, pos) = self.place(x)?;
+        Some(clock_at(self.row(by), c) >= pos)
     }
 }
 
-/// `true` if `x` is an ancestor of `by` (or `x == by`), searching the
-/// dependence edges depth-first.
+/// Entry `c` of a trimmed chain clock (0 past its end).
+#[inline]
+fn clock_at(clock: &[u32], c: usize) -> u32 {
+    clock.get(c).copied().unwrap_or(0)
+}
+
+/// `a ≤ b` elementwise, for chain clocks trimmed of trailing zeros.
+#[inline]
+fn clock_le(a: &[u32], b: &[u32]) -> bool {
+    a.len() <= b.len() && a.iter().zip(b).all(|(x, y)| x <= y)
+}
+
+/// `into = max(into, from)` elementwise; trimmed inputs give a trimmed
+/// result.
+#[inline]
+fn clock_max(into: &mut Vec<u32>, from: &[u32]) {
+    if from.len() > into.len() {
+        into.resize(from.len(), 0);
+    }
+    for (a, &b) in into.iter_mut().zip(from) {
+        if b > *a {
+            *a = b;
+        }
+    }
+}
+
+/// `true` if `x` is an ancestor of `by` (or `x == by`): by the chain index
+/// when `x` is on a chain, else searching the dependence edges
+/// depth-first.
 ///
 /// Pruning: dependences always point to earlier-created nodes, so any
 /// node `< x` is skipped; topological levels strictly decrease along
 /// dependence edges, so any node at or below `level[x]` (other than `x`
 /// itself) cannot have `x` in its ancestry.
-/// `true` if every element of sorted `a` occurs in sorted `b`.
-#[inline]
-fn sorted_subset(a: &[u32], b: &[u32]) -> bool {
-    if a.len() > b.len() {
-        return false;
-    }
-    let mut it = b.iter();
-    'outer: for &x in a {
-        for &y in it.by_ref() {
-            match y.cmp(&x) {
-                core::cmp::Ordering::Less => continue,
-                core::cmp::Ordering::Equal => continue 'outer,
-                core::cmp::Ordering::Greater => return false,
-            }
-        }
-        return false;
-    }
-    true
-}
-
 #[inline]
 fn reaches(
     nodes: &[DagNode],
@@ -337,9 +355,73 @@ impl std::error::Error for DagError {}
 /// An in-progress DAG construction (see [`PersistDag::build_with`]).
 pub(crate) type DagRun<'s> = engine::Run<'s, DagDomain>;
 
+/// A dependence value of [`DagDomain`]: the persists that must happen
+/// before, as the maximal antichain of their down-set plus the down-set's
+/// chain clock.
+///
+/// The clock holds, per [`ReachIndex`] chain, the highest position in the
+/// down-set (0 = none), trimmed of trailing zeros: the elementwise max of
+/// the members' rows. An on-chain node `x` is in the down-set iff
+/// `clock[chain(x)] >= pos(x)`. A frontier of one member does not store
+/// its clock, which is that member's row ([`DagDomain::clock`]): block
+/// and thread state mostly hold the one persist that wrote last.
+///
+/// Both lists share one buffer, `[n, ids.., clock..]` (empty = bottom), so
+/// a frontier is as small as a plain id list and the engine's per-event
+/// `clone_from` copies one slice.
+#[derive(Debug, Default)]
+pub(crate) struct Frontier {
+    buf: Vec<u32>,
+}
+
+impl Frontier {
+    /// The down-set's maximal elements, sorted ascending.
+    #[inline]
+    fn ids(&self) -> &[u32] {
+        match self.buf.first() {
+            Some(&n) => &self.buf[1..=n as usize],
+            None => &[],
+        }
+    }
+
+    /// The stored clock: empty unless there are two or more members.
+    #[inline]
+    fn stored_clock(&self) -> &[u32] {
+        match self.buf.first() {
+            Some(&n) => &self.buf[n as usize + 1..],
+            None => &[],
+        }
+    }
+
+    /// Sets the frontier to members `ids` (sorted) with chain clock
+    /// `clock`, which is dropped if there is one member.
+    #[inline]
+    fn set(&mut self, ids: &[u32], clock: &[u32]) {
+        self.buf.clear();
+        self.buf.push(ids.len() as u32);
+        self.buf.extend_from_slice(ids);
+        if ids.len() > 1 {
+            self.buf.extend_from_slice(clock);
+        }
+    }
+}
+
+impl Clone for Frontier {
+    fn clone(&self) -> Self {
+        Frontier { buf: self.buf.clone() }
+    }
+
+    /// Reuses the buffer: the engine clones a thread's constraint into its
+    /// per-event accumulator on every access.
+    fn clone_from(&mut self, src: &Self) {
+        self.buf.clone_from(&src.buf);
+    }
+}
+
 /// Set domain: a dependence is the antichain of persists that must happen
-/// before; on-demand level-pruned DFS makes joins and coalescing checks
-/// exact without materializing reachability.
+/// before, with its chain clock. Joins and coalescing checks compare
+/// clocks; only members the chain index could not place take the
+/// level-pruned DFS.
 #[derive(Debug, Default)]
 pub(crate) struct DagDomain {
     nodes: Vec<DagNode>,
@@ -350,83 +432,137 @@ pub(crate) struct DagDomain {
     /// Pooled DFS working set for off-chain dominance queries ([`Domain`]
     /// exposes `can_coalesce` through `&self`, hence the `RefCell`).
     arena: RefCell<QueryArena>,
+    /// Nodes the chain index could not place.
+    offchain: u64,
+    /// Members and clock of a join's result, before they are stored.
+    ids: Vec<u32>,
+    clock: Vec<u32>,
+    /// `join_pref`'s one-member operand.
+    one: Frontier,
     overflow: bool,
 }
 
 impl DagDomain {
-    fn dominated(&self, x: u32, by: u32) -> bool {
-        reaches(&self.nodes, &self.levels, &self.reach, &self.arena, by, x)
+    /// The chain clock of `f`.
+    #[inline]
+    fn clock<'a>(&'a self, f: &'a Frontier) -> &'a [u32] {
+        match f.ids() {
+            &[p] => self.reach.row(p),
+            _ => f.stored_clock(),
+        }
+    }
+
+    /// `true` if some member of `ids` reaches `x` (or is `x`).
+    fn reached(&self, ids: &[u32], x: u32) -> bool {
+        ids.iter().any(|&m| reaches(&self.nodes, &self.levels, &self.reach, &self.arena, m, x))
+    }
+
+    /// `true` if `x` lies in the down-set with maximal elements `ids` and
+    /// chain clock `clock`: by the clock if `x` is on a chain, else by a
+    /// search from the members.
+    #[inline]
+    fn covers(&self, ids: &[u32], clock: &[u32], x: u32) -> bool {
+        match self.reach.place(x) {
+            Some((c, pos)) => clock_at(clock, c) >= pos,
+            None => self.reached(ids, x),
+        }
+    }
+
+    /// `true` if every off-chain node of `xs` lies in the down-set with
+    /// maximal elements `ids`.
+    #[inline]
+    fn covers_offchain(&self, ids: &[u32], xs: &[u32]) -> bool {
+        self.offchain == 0
+            || xs.iter().all(|&x| self.reach.place(x).is_some() || self.reached(ids, x))
+    }
+
+    /// Writes the maximal antichain of `a ∪ b` to `out`, unless `b`'s
+    /// down-set lies in `a`'s; returns whether it did.
+    fn merge(&self, a: &Frontier, b: &Frontier, out: &mut Vec<u32>) -> bool {
+        let (a_ids, b_ids) = (a.ids(), b.ids());
+        let (a_clock, b_clock) = (self.clock(a), self.clock(b));
+        // A no-op exactly when the on-chain part of `b`'s down-set is
+        // below `a`'s clock and its off-chain members are covered.
+        if clock_le(b_clock, a_clock) && self.covers_offchain(a_ids, b_ids) {
+            return false;
+        }
+        // One pass over both sorted lists keeps each member the other
+        // side's down-set does not cover. Node ids stay below
+        // `MAX_DAG_NODES`, so `u32::MAX` marks an exhausted list.
+        out.clear();
+        let (mut i, mut j) = (0, 0);
+        loop {
+            let x = a_ids.get(i).copied().unwrap_or(u32::MAX);
+            let y = b_ids.get(j).copied().unwrap_or(u32::MAX);
+            if x == y {
+                if x == u32::MAX {
+                    return true;
+                }
+                out.push(x);
+                i += 1;
+                j += 1;
+            } else if x < y {
+                if !self.covers(b_ids, b_clock, x) {
+                    out.push(x);
+                }
+                i += 1;
+            } else {
+                if !self.covers(a_ids, a_clock, y) {
+                    out.push(y);
+                }
+                j += 1;
+            }
+        }
     }
 }
 
 impl Domain for DagDomain {
-    type Dep = Vec<u32>;
+    type Dep = Frontier;
     type PRef = u32;
     type Mask = bool;
 
-    fn bottom(&self) -> Vec<u32> {
-        Vec::new()
+    fn bottom(&self) -> Frontier {
+        Frontier::default()
     }
 
-    fn join(&mut self, into: &mut Vec<u32>, from: &Vec<u32>) {
-        if from.is_empty() {
+    fn join(&mut self, into: &mut Frontier, from: &Frontier) {
+        if from.buf.is_empty() {
             return;
         }
-        if into.is_empty() {
-            // `from` is itself a sorted antichain (every dep is built from
-            // `bottom` through `join`), so it can be adopted wholesale.
+        if into.buf.is_empty() {
             into.clone_from(from);
             return;
         }
-        // Steady-state fast path: in the engine's hot loop the incoming
-        // constraint is very often a subset of the accumulated one (block
-        // and thread state both carry recent `out` values). Both sides are
-        // sorted, so subset runs in O(|into| + |from|) with no reachability
-        // queries at all.
-        if sorted_subset(from, into) {
-            return;
-        }
-        // Incremental maximal-antichain insertion: deps are only ever built
-        // through `join` from `bottom` and singleton `dep_of` values, so
-        // `into` is always an antichain already. Inserting each element of
-        // `from` while dropping dominated elements preserves the invariant
-        // without snapshotting (the old implementation cloned `into` per
-        // join, which dominated the DAG engine's allocation profile).
-        let mut changed = false;
-        'insert: for &x in from {
-            let mut i = 0;
-            while i < into.len() {
-                let y = into[i];
-                if y == x || self.dominated(x, y) {
-                    continue 'insert; // x already covered by the frontier
-                }
-                if self.dominated(y, x) {
-                    into.swap_remove(i); // x supersedes y
-                    changed = true;
-                } else {
-                    i += 1;
-                }
+        let (mut ids, mut clock) = (std::mem::take(&mut self.ids), std::mem::take(&mut self.clock));
+        if self.merge(into, from, &mut ids) {
+            // A one-member result stores no clock. In the engine's
+            // per-persist `join_pref` the new persist covers the whole
+            // frontier, so that is the common case.
+            if ids.len() > 1 {
+                clock.clear();
+                clock.extend_from_slice(self.clock(into));
+                clock_max(&mut clock, self.clock(from));
             }
-            into.push(x);
-            changed = true;
+            into.set(&ids, &clock);
         }
-        if changed {
-            into.sort_unstable();
-        }
+        (self.ids, self.clock) = (ids, clock);
     }
 
-    fn new_persist(&mut self, input: &Vec<u32>, w: WriteRec, ev: EventRef) -> u32 {
+    fn new_persist(&mut self, input: &Frontier, w: WriteRec, ev: EventRef) -> u32 {
         if self.nodes.len() >= MAX_DAG_NODES {
             self.overflow = true;
             // Keep returning the last node; build() reports the error.
             return (self.nodes.len() - 1) as u32;
         }
         let id = self.nodes.len() as u32;
-        let level = 1 + input.iter().map(|&d| self.levels[d as usize]).max().unwrap_or(0);
+        let deps = input.ids();
+        let level = 1 + deps.iter().map(|&d| self.levels[d as usize]).max().unwrap_or(0);
         self.levels.push(level);
-        self.reach.add_node(input);
+        if !self.reach.add_node(deps, input.stored_clock()) {
+            self.offchain += 1;
+        }
         self.nodes.push(DagNode {
-            deps: SmallVec::from_slice(input),
+            deps: SmallVec::from_slice(deps),
             writes: SmallVec::one(w),
             events: SmallVec::one(ev),
             thread: ev.thread,
@@ -434,8 +570,9 @@ impl Domain for DagDomain {
         id
     }
 
-    fn can_coalesce(&self, input: &Vec<u32>, target: u32) -> bool {
-        input.iter().all(|&x| self.dominated(x, target))
+    fn can_coalesce(&self, input: &Frontier, target: u32) -> bool {
+        let row = self.reach.row(target);
+        clock_le(self.clock(input), row) && self.covers_offchain(&[target], input.ids())
     }
 
     fn coalesce(&mut self, target: u32, w: WriteRec, ev: EventRef) {
@@ -444,40 +581,23 @@ impl Domain for DagDomain {
         n.events.push(ev);
     }
 
-    fn dep_of(&self, p: u32) -> Vec<u32> {
-        vec![p]
+    fn dep_of(&self, p: u32) -> Frontier {
+        Frontier { buf: vec![1, p] }
     }
 
-    fn join_pref(&mut self, into: &mut Vec<u32>, p: u32) {
-        // Singleton insertion without materializing `vec![p]`. In the
-        // engine's per-persist path `p` is almost always the newest node,
-        // so the frontier scan usually drops dominated entries and appends.
-        if into.binary_search(&p).is_ok() {
-            return;
-        }
-        let mut i = 0;
-        while i < into.len() {
-            let y = into[i];
-            if self.dominated(p, y) {
-                return; // p already covered by the frontier
-            }
-            if self.dominated(y, p) {
-                into.remove(i); // p supersedes y (keep the sort order)
-            } else {
-                i += 1;
-            }
-        }
-        let pos = into.partition_point(|&y| y < p);
-        into.insert(pos, p);
+    fn join_pref(&mut self, into: &mut Frontier, p: u32) {
+        let mut one = std::mem::take(&mut self.one);
+        one.set(&[p], &[]);
+        self.join(into, &one);
+        self.one = one;
     }
 
-    fn assign_pref(&mut self, into: &mut Vec<u32>, p: u32) {
-        into.clear();
-        into.push(p);
+    fn assign_pref(&mut self, into: &mut Frontier, p: u32) {
+        into.set(&[p], &[]);
     }
 
-    fn reset_dep(&self, dep: &mut Vec<u32>) {
-        dep.clear();
+    fn reset_dep(&self, dep: &mut Frontier) {
+        dep.buf.clear();
     }
 }
 
@@ -531,6 +651,7 @@ impl PersistDag {
         if obsv::enabled() {
             obsv::counter_add("dag.builds", 1);
             obsv::counter_add("dag.nodes", dom.nodes.len() as u64);
+            obsv::counter_add("dag.offchain_nodes", dom.offchain);
             obsv::observe(
                 "dag.critical_path",
                 dom.levels.iter().copied().max().unwrap_or(0) as u64,
@@ -756,5 +877,161 @@ mod tests {
         });
         let dag = PersistDag::build(&t, &cfg(Model::Epoch)).unwrap();
         assert_eq!(dag.edges().collect::<Vec<_>>(), vec![(0, 1)]);
+    }
+
+    /// Reference domain for [`dag_domain_matches_closure_oracle`]: a
+    /// dependence is its whole down-set as a sorted set. Join is union,
+    /// coalescing is a subset test, and a node's deps are the maximal
+    /// elements of its input, found by brute force. No chains, no
+    /// antichains.
+    #[derive(Default)]
+    struct ClosureDomain {
+        nodes: Vec<DagNode>,
+        /// Down-set of each node, itself included, sorted.
+        closure: Vec<Vec<u32>>,
+    }
+
+    fn union(a: &[u32], b: &[u32]) -> Vec<u32> {
+        let mut u: Vec<u32> = a.iter().chain(b).copied().collect();
+        u.sort_unstable();
+        u.dedup();
+        u
+    }
+
+    impl Domain for ClosureDomain {
+        type Dep = Vec<u32>;
+        type PRef = u32;
+        type Mask = bool;
+
+        fn bottom(&self) -> Vec<u32> {
+            Vec::new()
+        }
+
+        fn join(&mut self, into: &mut Vec<u32>, from: &Vec<u32>) {
+            *into = union(into, from);
+        }
+
+        fn new_persist(&mut self, input: &Vec<u32>, w: WriteRec, ev: EventRef) -> u32 {
+            let id = self.nodes.len() as u32;
+            let mut below = vec![false; self.nodes.len()];
+            for &y in input {
+                for &z in &self.closure[y as usize] {
+                    below[z as usize] |= z != y;
+                }
+            }
+            let deps: Vec<u32> = input.iter().copied().filter(|&x| !below[x as usize]).collect();
+            self.closure.push(union(input, &[id]));
+            self.nodes.push(DagNode {
+                deps: SmallVec::from_slice(&deps),
+                writes: SmallVec::one(w),
+                events: SmallVec::one(ev),
+                thread: ev.thread,
+            });
+            id
+        }
+
+        fn can_coalesce(&self, input: &Vec<u32>, target: u32) -> bool {
+            let down = &self.closure[target as usize];
+            input.iter().all(|x| down.binary_search(x).is_ok())
+        }
+
+        fn coalesce(&mut self, target: u32, w: WriteRec, ev: EventRef) {
+            let n = &mut self.nodes[target as usize];
+            n.writes.push(w);
+            n.events.push(ev);
+        }
+
+        fn dep_of(&self, p: u32) -> Vec<u32> {
+            self.closure[p as usize].clone()
+        }
+    }
+
+    fn run_domain<D: Domain>(trace: &Trace, config: &AnalysisConfig, dom: D) -> (D, EngineStats) {
+        let mut scratch = engine::Scratch::new(&dom);
+        let mut run = engine::Run::begin(config, trace.thread_count(), dom, &mut scratch);
+        run.push_events(trace.events()).unwrap();
+        run.finish()
+    }
+
+    /// A random workload over `lines` 8-byte persistent words: stores
+    /// (some 4-byte, some spanning two words), loads, an RMW, volatile
+    /// traffic, every kind of barrier, and a strand start in one op of
+    /// `strand_every`.
+    fn random_trace(seed: u64, threads: u32, ops: u32, lines: u64, strand_every: u64) -> Trace {
+        use mem_trace::rng::SmallRng;
+        use persist_mem::MemAddr;
+        TracedMem::new(SeededScheduler::new(seed)).run(threads, |ctx| {
+            let mut rng = SmallRng::seed_from_u64(seed ^ (ctx.thread_id().as_u64() << 32) ^ 0xC10C);
+            for _ in 0..ops {
+                let addr = MemAddr::persistent(rng.gen_below(lines) * 8);
+                if rng.gen_below(strand_every) == 0 {
+                    ctx.new_strand();
+                    continue;
+                }
+                match rng.gen_below(20) {
+                    0..=8 => ctx.store_u64(addr, rng.next_u64()),
+                    9 => ctx.store_n(addr, 4, rng.next_u64()),
+                    10 => ctx.store_n(addr.add(4), 8, rng.next_u64()),
+                    11 | 12 => {
+                        ctx.load_u64(addr);
+                    }
+                    13 => {
+                        ctx.fetch_add_u64(addr, 1);
+                    }
+                    14 => ctx.store_u64(MemAddr::volatile(addr.offset() % 64), 1),
+                    15 => {
+                        ctx.load_u64(MemAddr::volatile(addr.offset() % 64));
+                    }
+                    16 | 17 => ctx.persist_barrier(),
+                    18 => ctx.mem_barrier(),
+                    _ => ctx.persist_sync(),
+                }
+            }
+        })
+    }
+
+    #[test]
+    fn dag_domain_matches_closure_oracle() {
+        // (seed, threads, ops per thread, lines, one strand per N ops):
+        // narrow traces that stay on the chain index, and wide ones (many
+        // lines, frequent strands, few conflicts) that run past
+        // `MAX_CHAINS` and take the DFS fallback.
+        let cases = [
+            (1, 2, 120, 12, 12),
+            (2, 3, 90, 24, 9),
+            (3, 1, 200, 8, 1000),
+            (4, 4, 80, 96, 4),
+            (5, 2, 160, 128, 3),
+            (6, 4, 100, 256, 1000),
+            (7, 3, 140, 64, 6),
+            (8, 4, 120, 512, 2),
+            (9, 2, 200, 512, 1000),
+        ];
+        let mut offchain = [0u64; Model::ALL.len()];
+        for (seed, threads, ops, lines, strand_every) in cases {
+            let trace = random_trace(seed, threads, ops, lines, strand_every);
+            for (k, model) in Model::ALL.into_iter().enumerate() {
+                for config in [cfg(model), cfg(model).without_coalescing()] {
+                    let (dag, dag_stats) = run_domain(&trace, &config, DagDomain::default());
+                    let (oracle, oracle_stats) =
+                        run_domain(&trace, &config, ClosureDomain::default());
+                    let at = format!("seed {seed}, {model}, coalescing {}", config.coalescing);
+                    assert_eq!(dag_stats, oracle_stats, "{at}");
+                    assert_eq!(dag.nodes.len(), oracle.nodes.len(), "{at}");
+                    for (id, (a, b)) in dag.nodes.iter().zip(&oracle.nodes).enumerate() {
+                        assert_eq!(a.deps[..], b.deps[..], "deps of node {id}, {at}");
+                        assert_eq!(a.writes[..], b.writes[..], "writes of node {id}, {at}");
+                        assert_eq!(a.events[..], b.events[..], "events of node {id}, {at}");
+                        assert_eq!(a.thread, b.thread, "thread of node {id}, {at}");
+                    }
+                    offchain[k] += dag.offchain;
+                }
+            }
+        }
+        for (k, model) in Model::ALL.into_iter().enumerate() {
+            if matches!(model, Model::Epoch | Model::Strand) {
+                assert!(offchain[k] > 0, "no {model} case ran past MAX_CHAINS");
+            }
+        }
     }
 }

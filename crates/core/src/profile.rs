@@ -37,9 +37,11 @@ use persist_mem::MemAddr;
 ///
 /// Every lane widens the engine's per-thread and per-block dependence
 /// values by one level, so peak memory, not time, sets the width: an
-/// 8-lane pass costs about 1.2 scalar timing passes, while 16 or 32 lanes
-/// grow the block tables until they outweigh the persist DAG the profile
-/// builds first, for no further speedup.
+/// 8-lane pass costs about 1.8 scalar timing passes (36 ms against 21 ms,
+/// medians of 15, on the 248k-event profile-queue trace of `mpbench` at
+/// seed 42, 2-core host), while 16 or 32 lanes grow the block tables until
+/// they outweigh the persist DAG the profile builds first, for no further
+/// speedup.
 pub const LANES: usize = 8;
 
 /// The kind of ordering constraint linking consecutive critical-path
@@ -321,7 +323,7 @@ impl Domain for LaneDomain {
     }
 }
 
-/// Per-thread persist-epoch index/// Per-thread persist-epoch index: `epoch_at(thread, index)` counts the
+/// Per-thread persist-epoch index: `epoch_at(thread, index)` counts the
 /// epoch boundaries (persist barriers and syncs) the thread executed
 /// before trace index `index`.
 #[derive(Debug)]
