@@ -35,7 +35,6 @@ use persist_mem::{AtomicPersistSize, MemAddr, TrackingGranularity};
 use persistency::crash::{check, Exploration};
 use persistency::dag::PersistDag;
 use persistency::observer::RecoveryObserver;
-use persistency::profile::LANES;
 use persistency::partition::{self, ChunkFeed, TraceChunks};
 use persistency::{AnalysisConfig, Model};
 use pfi::fuzz::{shard_ranges, CellPlan, FuzzCell, FuzzConfig, ShardReport, Structure};
@@ -610,7 +609,7 @@ fn cmd_crash_fuzz(args: &Args) -> Result<u64, String> {
 fn cmd_profile(args: &Args) -> Result<u64, String> {
     let path = args.required("--trace")?;
     // Profiling walks the trace several times (DAG build, baseline, one
-    // pass per lane group of barrier what-ifs), so materialize it.
+    // pass per lane group of walked barrier what-ifs), so materialize it.
     let trace = load_trace(path)?;
     let model = parse_model(args.get("--model").unwrap_or("epoch"))?;
     let cfg = config_from(args, model)?;
@@ -620,13 +619,17 @@ fn cmd_profile(args: &Args) -> Result<u64, String> {
     let runner = SweepRunner::from_env();
     let report = profcli::run_profile(&trace, &cfg, max_barriers, &runner)
         .map_err(|e| e.to_string())?;
-    // Events pushed through the engines: one DAG build, one baseline
-    // timing pass and one timing pass per lane group of what-ifs.
-    let groups = report.barriers.len().div_ceil(LANES);
-    let events = trace.events().len() as u64 * (2 + groups as u64);
+    // Events pushed through the engines, one sweep cell each: the DAG
+    // build, the baseline timing pass and every lane walk of what-ifs the
+    // rules left open.
+    let cells = 2 + report.lane_walks;
+    let events = trace.events().len() as u64 * cells as u64;
+    if obsv::enabled() {
+        eprint!("{}", obsv::snapshot().filter_prefix("profile.").to_json_full());
+    }
 
     if args.has("--json") {
-        let meta = RunMeta::collect(runner.workers(), runner.effective_workers(groups));
+        let meta = RunMeta::collect(runner.workers(), runner.effective_workers(cells));
         let json = profcli::render_json(&report, &meta, top);
         if let Some(path) = args.get("--out") {
             std::fs::write(path, &json).map_err(|e| format!("write {path}: {e}"))?;

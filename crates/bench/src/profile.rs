@@ -2,12 +2,13 @@
 //! rendering.
 //!
 //! The attribution analysis itself lives in [`persistency::profile`]; this
-//! module owns the harness side — fanning the barrier what-ifs out across
-//! a [`SweepRunner`] and rendering the report as a human table or a JSON
-//! artifact. The what-ifs are scored [`LANES`] at a time as the lanes of
-//! one timing pass over the unmodified trace (lane *k* leaves out barrier
-//! *k*'s epoch fold, which is exactly what removing it changes), so each
-//! sweep cell is one lane group, not one barrier.
+//! module owns the harness side — fanning the DAG build and the barrier
+//! what-ifs out across one [`SweepRunner`] and rendering the report as a
+//! human table or a JSON artifact. Barriers the model never folds on are
+//! decided by its rules without a walk; the rest are scored [`LANES`] at a
+//! time as the lanes of one timing pass over the unmodified trace (lane *k*
+//! leaves out barrier *k*'s epoch fold, which is exactly what removing it
+//! changes), so each what-if cell is one lane group, not one barrier.
 //!
 //! Rendering is deterministic: everything below the single-line `meta`
 //! object depends only on (trace, config, top, max_barriers), never on
@@ -18,17 +19,31 @@ use crate::sweep::SweepRunner;
 use mem_trace::Trace;
 use obsv::runmeta::RunMeta;
 use persistency::dag::{DagError, PersistDag};
-use persistency::profile::{profile_dag, score_barriers, EdgeKind, ProfileReport, LANES};
-use persistency::AnalysisConfig;
+use persistency::profile::{
+    attribute, barrier_candidates, critical_paths_without, walked_barriers, EdgeKind,
+    ProfileReport, LANES,
+};
+use persistency::{timing, AnalysisConfig};
 use std::fmt::Write as _;
 
 /// Path steps included in the JSON artifact; longer paths are truncated
 /// (the table never prints the raw path).
 const JSON_PATH_CAP: usize = 10_000;
 
+/// One cell of a profile's sweep.
+enum Cell<'a> {
+    /// Build the persist DAG and attribute its critical path.
+    Dag,
+    /// The timing critical path of the whole trace.
+    Baseline,
+    /// The timing critical paths without each of up to [`LANES`] barriers.
+    Walk(&'a [usize]),
+}
+
 /// Profiles `trace` under `config`, scoring up to `max_barriers` ordering
-/// barriers in parallel on `runner`, one lane group of up to [`LANES`]
-/// barriers per sweep cell.
+/// barriers on `runner`. The DAG build, the timing baseline and one lane
+/// group of up to [`LANES`] walked barriers per cell share the pool;
+/// barriers the model's rules decide take no cell.
 ///
 /// # Errors
 ///
@@ -40,20 +55,34 @@ pub fn run_profile(
     max_barriers: usize,
     runner: &SweepRunner,
 ) -> Result<ProfileReport, DagError> {
-    // The DAG is dropped before the what-ifs start, so their lane scratch
-    // does not add to its peak memory.
-    let mut report = profile_dag(trace, &PersistDag::build(trace, config)?, 0);
-    let candidates: Vec<usize> = persistency::profile::barrier_candidates(trace)
+    let candidates = barrier_candidates(trace);
+    let scored = &candidates[..max_barriers.min(candidates.len())];
+    let walked = walked_barriers(trace, config, scored);
+    // The DAG build is the longest cell, so it starts first and the other
+    // cells run beside it. Each cell drops its own working state (the DAG,
+    // a lane scratch) when it ends.
+    let cells: Vec<Cell> = [Cell::Dag, Cell::Baseline]
         .into_iter()
-        .take(max_barriers)
+        .chain(walked.chunks(LANES).map(Cell::Walk))
         .collect();
-    let groups: Vec<&[usize]> = candidates.chunks(LANES).collect();
-    let baseline = report.timing_critical_path;
-    // Results come back in candidate order regardless of worker
-    // interleaving.
-    report.barriers = runner
-        .run(&groups, |_, group| score_barriers(trace, config, baseline, group))
-        .concat();
+    // Results come back in cell order regardless of worker interleaving.
+    let mut outs = runner.run(&cells, |_, cell| match *cell {
+        Cell::Dag => {
+            let _span = obsv::span("profile.dag");
+            let report = PersistDag::build(trace, config).map(|dag| attribute(trace, &dag));
+            (Some(report), Vec::new())
+        }
+        Cell::Baseline => (None, vec![timing::analyze(trace, config).critical_path]),
+        Cell::Walk(group) => {
+            let _span = obsv::span("profile.whatif");
+            (None, critical_paths_without(trace, config, group))
+        }
+    });
+    let mut report = outs[0].0.take().expect("cell 0 builds the DAG")?;
+    let baseline = outs[1].1[0];
+    let paths: Vec<u64> = outs[2..].iter().flat_map(|(_, p)| p).copied().collect();
+    report.judge_barriers(trace, baseline, scored, &paths, cells.len() - 2);
+    report.record_metrics();
     Ok(report)
 }
 

@@ -459,6 +459,35 @@ fn profile_table_reports_sources_and_barriers() {
     assert!(text.contains("barriers:"), "missing barrier section:\n{text}");
 }
 
+/// The `[timing]` line counts the events the engines walked: the DAG
+/// build, the baseline and one pass per lane walk of what-ifs. Strict
+/// persistency folds on no barrier, so its rules decide every candidate
+/// and the line counts no what-if walk.
+#[test]
+fn profile_timing_counts_only_walked_what_ifs() {
+    let trace = capture_racing("profile_timing.trace", 16);
+    let events = mem_trace::mmapio::MappedTrace::open(&trace)
+        .and_then(|map| map.collect())
+        .expect("decode capture")
+        .events()
+        .len() as u64;
+    let timed = |model: &str| -> u64 {
+        let out = psim()
+            .args(["profile", "--trace", &trace, "--model", model, "--barriers", "64"])
+            .output()
+            .expect("run psim profile");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{stderr}");
+        let line = stderr
+            .lines()
+            .find(|l| l.starts_with("[timing] psim profile:"))
+            .unwrap_or_else(|| panic!("no timing line in {stderr}"));
+        line.split_whitespace().nth(3).and_then(|n| n.parse().ok()).expect("event count")
+    };
+    assert_eq!(timed("strict"), 2 * events);
+    assert!(timed("epoch") > 2 * events);
+}
+
 #[test]
 fn errors_are_reported_cleanly() {
     // Unknown command.

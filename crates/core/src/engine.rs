@@ -8,9 +8,9 @@
 //!
 //! - **Thread state**: `prev` holds constraints that order all *future*
 //!   persists of the thread; `cur` accumulates constraints observed since
-//!   the last barrier. The rules' `order` says which event folds `cur` into
-//!   `prev` (and whether accesses skip `cur`), and `strands()` whether
-//!   `NewStrand` clears both.
+//!   the last barrier. The rules' `folds()` says which barriers fold `cur`
+//!   into `prev`, their `order` whether accesses skip `cur`, and
+//!   `strands()` whether `NewStrand` clears both.
 //! - **Memory state**: each tracking-granularity block records the
 //!   constraint carried by its last writer and by readers since that write.
 //!   Accesses inherit these per the rules' `conflicts`, in the address
@@ -25,7 +25,7 @@
 //! detection and the last-persist table are shared too.
 
 use crate::domain::{Domain, EventRef, Mask, WriteRec};
-use crate::rules::{Conflicts, Order, Rules};
+use crate::rules::{BarrierOp, Conflicts, Order, Rules};
 use crate::AnalysisConfig;
 use mem_trace::{Event, Op};
 use persist_mem::{FxHashMap, Space};
@@ -58,6 +58,8 @@ struct LaneRules<M> {
     epochs: M,
     /// `PersistBarrier` folds the epoch.
     persist_barrier: M,
+    /// `PersistSync` folds the epoch.
+    persist_sync: M,
     /// `MemBarrier` folds the epoch.
     mem_barrier: M,
     /// `NewStrand` clears the thread's ordering state.
@@ -96,8 +98,9 @@ impl<M: Mask> LaneRules<M> {
         LaneRules {
             every_access: of(&|r| r.order == Order::EveryAccess),
             epochs: of(&|r| r.order != Order::EveryAccess),
-            persist_barrier: of(&|r| r.order != Order::MemBarrier),
-            mem_barrier: of(&|r| r.order == Order::MemBarrier),
+            persist_barrier: of(&|r| r.folds(BarrierOp::PersistBarrier)),
+            persist_sync: of(&|r| r.folds(BarrierOp::PersistSync)),
+            mem_barrier: of(&|r| r.folds(BarrierOp::MemBarrier)),
             strands: of(&|r| r.strands()),
             volatile: space(Space::Volatile),
             persistent: space(Space::Persistent),
@@ -427,10 +430,10 @@ fn push_events<D: Domain>(
             Op::PersistSync => {
                 // A sync stalls execution until persists drain, which
                 // orders every earlier persist before every later one
-                // under any model.
+                // under any model that has an epoch to fold.
                 stats.barriers += 1;
                 let ThreadState { prev, cur, .. } = &mut threads[t];
-                dom.fold(prev, cur, index);
+                dom.fold_where(prev, cur, index, rules.persist_sync);
             }
             Op::MemBarrier => {
                 // A consistency barrier orders store visibility, which is

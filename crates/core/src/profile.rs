@@ -17,9 +17,10 @@
 //! a barrier whose removal leaves the critical path unchanged contributed
 //! no persist-ordering serialization on this trace (it may of course still
 //! be needed for correctness on other interleavings — the verdict is a
-//! profiling hint, not a proof). The what-ifs never copy the trace: up to
-//! [`LANES`] of them run as the lanes of one timing-engine pass (see
-//! [`score_barriers`]).
+//! profiling hint, not a proof). A barrier the model never folds on
+//! ([`Rules::folds`]) is decided without a walk; the others never copy the
+//! trace: up to [`LANES`] of them run as the lanes of one timing-engine
+//! pass (see [`score_barriers`]).
 //!
 //! Everything here is deterministic for a fixed trace and configuration:
 //! ties on the path walk are broken by smallest node id, so the rendered
@@ -29,6 +30,7 @@
 use crate::dag::{DagError, PersistDag};
 use crate::domain::{Domain, EventRef, WriteRec};
 use crate::engine::{self, Scratch};
+use crate::rules::Rules;
 use crate::{timing, AnalysisConfig};
 use mem_trace::{Op, ThreadId, Trace};
 use persist_mem::MemAddr;
@@ -125,27 +127,7 @@ pub struct SourceBucket {
     pub first_level: u32,
 }
 
-/// Which barrier op a [`BarrierCheck`] scored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BarrierOp {
-    /// `Op::PersistBarrier`.
-    PersistBarrier,
-    /// `Op::PersistSync`.
-    PersistSync,
-    /// `Op::MemBarrier`.
-    MemBarrier,
-}
-
-impl BarrierOp {
-    /// Short lowercase name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            BarrierOp::PersistBarrier => "persist-barrier",
-            BarrierOp::PersistSync => "persist-sync",
-            BarrierOp::MemBarrier => "mem-barrier",
-        }
-    }
-}
+pub use crate::rules::BarrierOp;
 
 /// Redundancy verdict for one ordering barrier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,6 +171,9 @@ pub struct ProfileReport {
     /// Ordering barriers in the trace eligible for scoring (before the
     /// `max_barriers` cap).
     pub barrier_candidates: usize,
+    /// Timing-engine passes the barrier what-ifs took: one per lane group
+    /// of walked candidates. Candidates the rules decide take none.
+    pub lane_walks: usize,
 }
 
 impl ProfileReport {
@@ -204,22 +189,96 @@ impl ProfileReport {
         }
         out
     }
+
+    /// Judges the scored barriers at `scored` against the timing baseline
+    /// `baseline`, in order. A candidate the model's rules decide (see
+    /// [`walked_barriers`]) keeps the baseline; each walked one takes the
+    /// next of `walked`, which holds their critical paths in order from
+    /// `lane_walks` timing passes. Sets `timing_critical_path`, `barriers`
+    /// and `lane_walks`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a candidate is not an ordering barrier, or if `walked`
+    /// does not hold exactly one path per walked candidate.
+    pub fn judge_barriers(
+        &mut self,
+        trace: &Trace,
+        baseline: u64,
+        scored: &[usize],
+        walked: &[u64],
+        lane_walks: usize,
+    ) {
+        let rules = self.config.model.rules();
+        let mut walked = walked.iter();
+        self.barriers = scored
+            .iter()
+            .map(|&i| {
+                let cp = if walks(trace, rules, i) {
+                    *walked.next().expect("a critical path for every walked candidate")
+                } else {
+                    baseline
+                };
+                barrier_check(trace, i, cp, baseline)
+            })
+            .collect();
+        assert!(walked.next().is_none(), "more walked paths than walked candidates");
+        self.timing_critical_path = baseline;
+        self.lane_walks = lane_walks;
+    }
+
+    /// Records this profile's `profile.*` counters and critical-path
+    /// histogram. No-op while obsv is disabled.
+    pub fn record_metrics(&self) {
+        if !obsv::enabled() {
+            return;
+        }
+        let rules = self.config.model.rules();
+        let decided = self.barriers.iter().filter(|b| !rules.folds(b.op)).count();
+        obsv::counter_add("profile.runs", 1);
+        obsv::counter_add("profile.barriers_scored", self.barriers.len() as u64);
+        obsv::counter_add("profile.barriers_decided", decided as u64);
+        obsv::counter_add("profile.lane_walks", self.lane_walks as u64);
+        obsv::observe("profile.critical_path", self.critical_path);
+    }
 }
 
-/// Trace indices of the ordering barriers eligible for redundancy scoring
-/// under `model`-relevant semantics: persist barriers, persist syncs, and
-/// memory barriers (the latter matter under relaxed-consistency strict
-/// persistency).
+/// Trace indices of the ordering barriers eligible for redundancy scoring,
+/// in trace order: every persist barrier, persist sync and memory barrier,
+/// whatever the model. Which of them a model folds on, and so which need a
+/// walk, is [`walked_barriers`]' question.
 pub fn barrier_candidates(trace: &Trace) -> Vec<usize> {
     trace
         .events()
         .iter()
         .enumerate()
-        .filter(|(_, e)| {
-            matches!(e.op, Op::PersistBarrier | Op::PersistSync | Op::MemBarrier)
-        })
+        .filter(|(_, e)| BarrierOp::of(e.op).is_some())
         .map(|(i, _)| i)
         .collect()
+}
+
+/// The barrier at trace index `i`.
+fn barrier_op(trace: &Trace, i: usize) -> BarrierOp {
+    let op = trace.events()[i].op;
+    BarrierOp::of(op).unwrap_or_else(|| panic!("not an ordering barrier at {i}: {op:?}"))
+}
+
+/// Whether the what-if of the barrier at `i` needs a walk under `rules`.
+fn walks(trace: &Trace, rules: Rules, i: usize) -> bool {
+    rules.folds(barrier_op(trace, i))
+}
+
+/// The candidates among `scored` whose what-if needs a walk, in order.
+/// The model's rules decide the rest: a barrier the model never folds on
+/// ([`Rules::folds`]) changes no engine state, so the trace without it has
+/// the baseline's critical path.
+///
+/// # Panics
+///
+/// Panics if a candidate is not an ordering barrier.
+pub fn walked_barriers(trace: &Trace, config: &AnalysisConfig, scored: &[usize]) -> Vec<usize> {
+    let rules = config.model.rules();
+    scored.iter().copied().filter(|&i| walks(trace, rules, i)).collect()
 }
 
 /// The level analysis of [`timing`], run as [`LANES`] what-ifs at once:
@@ -411,14 +470,13 @@ fn longest_path(dag: &PersistDag) -> Vec<u32> {
     rev
 }
 
-/// Profiles an already-built DAG. Use [`profile`] unless you have a DAG
-/// at hand. `max_barriers` caps the redundancy scoring (every [`LANES`]
-/// scored barriers cost one timing pass); pass 0 to skip it.
-pub fn profile_dag(
-    trace: &Trace,
-    dag: &PersistDag,
-    max_barriers: usize,
-) -> ProfileReport {
+/// Attributes `dag`'s critical path: walks one longest path, classifies
+/// its edges and ranks its constraint sources. The returned report counts
+/// the trace's barrier candidates but judges none, and its
+/// `timing_critical_path` is 0: the barrier what-ifs and their timing
+/// baseline need no DAG, so callers run them beside it and hand them to
+/// [`ProfileReport::judge_barriers`].
+pub fn attribute(trace: &Trace, dag: &PersistDag) -> ProfileReport {
     let config = *dag.config();
     let epochs = EpochIndex::build(trace);
     let ids = longest_path(dag);
@@ -447,24 +505,39 @@ pub fn profile_dag(
     }
 
     let sources = rank_sources(&path);
-    let candidates = barrier_candidates(trace);
-    // Barrier what-ifs run the timing level analysis, so redundancy is
-    // judged against the timing engine's own baseline (under coalescing
-    // it can sit below the DAG's exact critical path).
-    let timing_cp = timing::analyze(trace, &config).critical_path;
-    let scored = &candidates[..max_barriers.min(candidates.len())];
-    let barriers = score_barriers(trace, &config, timing_cp, scored);
-
     ProfileReport {
         config,
         critical_path: dag.critical_path(),
-        timing_critical_path: timing_cp,
+        timing_critical_path: 0,
         persist_nodes: dag.len(),
         path,
         sources,
-        barriers,
-        barrier_candidates: candidates.len(),
+        barriers: Vec::new(),
+        barrier_candidates: barrier_candidates(trace).len(),
+        lane_walks: 0,
     }
+}
+
+/// Profiles an already-built DAG. Use [`profile`] unless you have a DAG
+/// at hand. `max_barriers` caps the redundancy scoring (every [`LANES`]
+/// walked barriers cost one timing pass); pass 0 to skip it.
+pub fn profile_dag(
+    trace: &Trace,
+    dag: &PersistDag,
+    max_barriers: usize,
+) -> ProfileReport {
+    let config = *dag.config();
+    let mut report = attribute(trace, dag);
+    // Barrier what-ifs run the timing level analysis, so redundancy is
+    // judged against the timing engine's own baseline (under coalescing
+    // it can sit below the DAG's exact critical path).
+    let baseline = timing::analyze(trace, &config).critical_path;
+    let candidates = barrier_candidates(trace);
+    let scored = &candidates[..max_barriers.min(candidates.len())];
+    let walked = walked_barriers(trace, &config, scored);
+    let paths = critical_paths_without(trace, &config, &walked);
+    report.judge_barriers(trace, baseline, scored, &paths, walked.len().div_ceil(LANES));
+    report
 }
 
 /// Scores one barrier candidate (see [`BarrierCheck`]): a one-lane
@@ -481,10 +554,11 @@ pub fn score_barrier(
 }
 
 /// Scores barrier candidates (see [`BarrierCheck`]) against the timing
-/// critical path `baseline`, in the order given. Each group of up to
-/// [`LANES`] candidates costs one timing-engine pass over `trace`, one
-/// lane per candidate; the trace is never copied. Pure — the bench
-/// harness fans lane groups out across sweep workers.
+/// critical path `baseline`, in the order given, walking every one of
+/// them: the oracle for [`ProfileReport::judge_barriers`], which walks
+/// only what the rules leave open. Each group of up to [`LANES`]
+/// candidates costs one timing-engine pass over `trace`, one lane per
+/// candidate; the trace is never copied.
 ///
 /// # Panics
 ///
@@ -496,30 +570,46 @@ pub fn score_barriers(
     baseline: u64,
     trace_indices: &[usize],
 ) -> Vec<BarrierCheck> {
+    let paths = critical_paths_without(trace, config, trace_indices);
+    trace_indices
+        .iter()
+        .zip(paths)
+        .map(|(&i, cp)| barrier_check(trace, i, cp, baseline))
+        .collect()
+}
+
+/// The verdict on the barrier at trace index `i`, whose removal gives
+/// timing critical path `cp`.
+fn barrier_check(trace: &Trace, i: usize, cp: u64, baseline: u64) -> BarrierCheck {
+    BarrierCheck {
+        trace_index: i,
+        thread: trace.events()[i].thread,
+        op: barrier_op(trace, i),
+        critical_path_without: cp,
+        redundant: cp == baseline,
+    }
+}
+
+/// The timing critical path of `trace` without each event of
+/// `trace_indices`, in order, as the lanes of one engine pass per group of
+/// [`LANES`]. Pure — the bench harness fans lane groups out across sweep
+/// workers.
+///
+/// # Panics
+///
+/// Panics if the trace has `u32::MAX` or more events (lane levels are
+/// 32-bit).
+pub fn critical_paths_without(
+    trace: &Trace,
+    config: &AnalysisConfig,
+    trace_indices: &[usize],
+) -> Vec<u64> {
     let events = trace.events();
     // A level never exceeds the number of persists before it.
     assert!(events.len() < u32::MAX as usize, "trace too long for 32-bit lane levels");
-    let mut checks: Vec<BarrierCheck> = trace_indices
-        .iter()
-        .map(|&trace_index| {
-            let e = events[trace_index];
-            let op = match e.op {
-                Op::PersistBarrier => BarrierOp::PersistBarrier,
-                Op::PersistSync => BarrierOp::PersistSync,
-                Op::MemBarrier => BarrierOp::MemBarrier,
-                other => panic!("not an ordering barrier at {trace_index}: {other:?}"),
-            };
-            BarrierCheck {
-                trace_index,
-                thread: e.thread,
-                op,
-                critical_path_without: 0,
-                redundant: false,
-            }
-        })
-        .collect();
+    let mut paths = Vec::with_capacity(trace_indices.len());
     let mut scratch = Scratch::new(&LaneDomain::new(&[]));
-    for (group, out) in trace_indices.chunks(LANES).zip(checks.chunks_mut(LANES)) {
+    for group in trace_indices.chunks(LANES) {
         let mut run = engine::Run::begin(
             config,
             trace.thread_count(),
@@ -528,12 +618,9 @@ pub fn score_barriers(
         );
         run.push_events(events).expect("in-memory traces name only their own threads");
         let (dom, _) = run.finish();
-        for (check, &level) in out.iter_mut().zip(&dom.max_level) {
-            check.critical_path_without = u64::from(level);
-            check.redundant = check.critical_path_without == baseline;
-        }
+        paths.extend(dom.max_level[..group.len()].iter().map(|&l| u64::from(l)));
     }
-    checks
+    paths
 }
 
 /// Groups path steps by (thread, epoch) and ranks by contribution.
@@ -571,11 +658,7 @@ pub fn profile(
     let _span = obsv::span("profile.analyze");
     let dag = PersistDag::build(trace, config)?;
     let report = profile_dag(trace, &dag, max_barriers);
-    if obsv::enabled() {
-        obsv::counter_add("profile.runs", 1);
-        obsv::counter_add("profile.barriers_scored", report.barriers.len() as u64);
-        obsv::observe("profile.critical_path", report.critical_path);
-    }
+    report.record_metrics();
     Ok(report)
 }
 

@@ -16,6 +16,7 @@
 //! | which conflicts order persists ([`Rules::conflicts`]) | SC: last writer, readers since | SC | SC | last write | last persist |
 //! | in which address spaces ([`Rules::tracks`]) | all | all | all | persistent | persistent |
 //! | `NewStrand` resets ordering ([`Rules::strands`]) | no | no | no | no | yes |
+//! | which barriers fold an epoch ([`Rules::folds`]) | none | mem barrier, sync | persist barrier, sync | persist barrier, sync | persist barrier, sync |
 //! | a line is durable after ([`Rules::needs_flush`]) | a fence | a fence | flush, fence | flush, fence | flush, same-strand fence |
 //! | front end waits for durability | yes | yes | no | no | no |
 //! | pending persists that may survive ([`Rules::survivors`]) | global prefix | prefix per line | epochs | prefix per line | epochs per strand |
@@ -28,6 +29,7 @@
 //! orders them by fences alone and leaves same-line order to its banks.
 
 use crate::Model;
+use mem_trace::Op;
 use persist_mem::Space;
 
 /// The ordering rules of one persistency model. See the [module
@@ -67,6 +69,39 @@ pub enum Conflicts {
     /// The last persist only: strong persist atomicity is the sole order
     /// memory carries (strand persistency, §5.3).
     LastPersist,
+}
+
+/// An ordering barrier: one of the three ops a model may fold a thread's
+/// epoch on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BarrierOp {
+    /// `Op::PersistBarrier`.
+    PersistBarrier,
+    /// `Op::PersistSync`.
+    PersistSync,
+    /// `Op::MemBarrier`.
+    MemBarrier,
+}
+
+impl BarrierOp {
+    /// The barrier `op` is, if it is one.
+    pub fn of(op: Op) -> Option<BarrierOp> {
+        match op {
+            Op::PersistBarrier => Some(BarrierOp::PersistBarrier),
+            Op::PersistSync => Some(BarrierOp::PersistSync),
+            Op::MemBarrier => Some(BarrierOp::MemBarrier),
+            _ => None,
+        }
+    }
+
+    /// Short lowercase name used in reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            BarrierOp::PersistBarrier => "persist-barrier",
+            BarrierOp::PersistSync => "persist-sync",
+            BarrierOp::MemBarrier => "mem-barrier",
+        }
+    }
 }
 
 /// Which subsets of the pending persists a crash may keep.
@@ -124,6 +159,24 @@ impl Rules {
     /// without strands would.
     pub fn strands(self) -> bool {
         self.conflicts == Conflicts::LastPersist
+    }
+
+    /// Whether `barrier` can change a thread's ordering state: fold the
+    /// constraints the thread gathered since its last fold into those of
+    /// all its later persists. A barrier that cannot leaves every analysis
+    /// as if it were absent.
+    ///
+    /// A memory barrier orders persists only where persistency is coupled
+    /// to consistency, and a persist barrier only where the model has
+    /// them (§4.2). A sync stalls until persists drain, which orders them
+    /// under any model, but strict persistency orders each access before
+    /// the thread's later persists at once and leaves nothing to fold.
+    pub fn folds(self, barrier: BarrierOp) -> bool {
+        match barrier {
+            BarrierOp::MemBarrier => self.order == Order::MemBarrier,
+            BarrierOp::PersistBarrier => self.order == Order::PersistBarrier,
+            BarrierOp::PersistSync => self.order != Order::EveryAccess,
+        }
     }
 
     /// Whether a store needs a flush of its line before a fence makes it
@@ -184,5 +237,16 @@ mod tests {
         assert_eq!(row(Model::Epoch), (true, false, true, Epochs, Fences));
         assert_eq!(row(Model::Bpfs), (false, false, true, LinePrefix, Lines));
         assert_eq!(row(Model::Strand), (false, true, true, Epochs, Fences));
+    }
+
+    #[test]
+    fn folds_row() {
+        use BarrierOp::*;
+        let row = |m: Model| [PersistBarrier, PersistSync, MemBarrier].map(|b| m.rules().folds(b));
+        assert_eq!(row(Model::Strict), [false, false, false]);
+        assert_eq!(row(Model::StrictRmo), [false, true, true]);
+        assert_eq!(row(Model::Epoch), [true, true, false]);
+        assert_eq!(row(Model::Bpfs), [true, true, false]);
+        assert_eq!(row(Model::Strand), [true, true, false]);
     }
 }
