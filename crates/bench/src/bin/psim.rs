@@ -352,11 +352,13 @@ fn cmd_analyze(args: &Args) -> Result<u64, String> {
     let (profile, reports) = TraceInput::open(path)?
         .with_feed(|feed| partition::analyze_full(feed, &configs, runner.workers()))
         .map_err(|e| format!("read {path}: {e}"))?;
-    let passes = models.len() as u64;
-    let meta = RunMeta::collect(
-        runner.workers(),
-        runner.effective_workers(partition::analyze_sinks(&configs)),
-    );
+    // The `[timing]` line counts the events each sink walked: the
+    // profile and one engine walk per lane group.
+    let sinks = partition::analyze_sinks(&configs);
+    let meta = RunMeta::collect(runner.workers(), runner.effective_workers(sinks));
+    if obsv::enabled() {
+        eprint!("{}", obsv::snapshot().filter_prefix("engine.").to_json_full());
+    }
     if args.has("--json") {
         let mut rows = Vec::new();
         for (model, r) in models.iter().zip(&reports) {
@@ -383,7 +385,7 @@ fn cmd_analyze(args: &Args) -> Result<u64, String> {
         if let Some(path) = &timeline {
             write_timeline(path, &meta)?;
         }
-        return Ok(profile.events * (passes + 1));
+        return Ok(profile.events * sinks as u64);
     }
     println!(
         "trace: {} events, {} persists ({}% of accesses), {} barriers, \
@@ -414,7 +416,7 @@ fn cmd_analyze(args: &Args) -> Result<u64, String> {
     if let Some(path) = &timeline {
         write_timeline(path, &meta)?;
     }
-    Ok(profile.events * (passes + 1))
+    Ok(profile.events * sinks as u64)
 }
 
 fn cmd_cuts(args: &Args) -> Result<u64, String> {

@@ -488,6 +488,53 @@ fn profile_timing_counts_only_walked_what_ifs() {
     assert!(timed("epoch") > 2 * events);
 }
 
+/// `psim analyze`'s `[timing]` line counts the two walks that run: the
+/// profile and one engine walk carrying every model as a lane, in the
+/// table and the JSON report alike.
+#[test]
+fn analyze_timing_counts_one_walk_for_every_model() {
+    let trace = capture_racing("analyze_timing.trace", 16);
+    let events = mem_trace::mmapio::MappedTrace::open(&trace)
+        .and_then(|map| map.collect())
+        .expect("decode capture")
+        .events()
+        .len() as u64;
+    let timed = |extra: &[&str]| -> u64 {
+        let out = psim()
+            .args(["analyze", "--trace", &trace])
+            .args(extra)
+            .output()
+            .expect("run psim analyze");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{stderr}");
+        let line = stderr
+            .lines()
+            .find(|l| l.starts_with("[timing] psim analyze:"))
+            .unwrap_or_else(|| panic!("no timing line in {stderr}"));
+        line.split_whitespace().nth(3).and_then(|n| n.parse().ok()).expect("event count")
+    };
+    assert_eq!(timed(&[]), 2 * events);
+    assert_eq!(timed(&["--json"]), 2 * events);
+    assert_eq!(timed(&["--model", "strand"]), 2 * events);
+}
+
+/// Under `OBSV=1`, `psim analyze` prints the engine's counters on stderr,
+/// among them the pages its block tables hold.
+#[test]
+fn analyze_obsv_prints_engine_counters() {
+    let trace = capture_racing("analyze_obsv.trace", 16);
+    let out = psim()
+        .args(["analyze", "--trace", &trace, "--json"])
+        .env("OBSV", "1")
+        .output()
+        .expect("run psim analyze");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    for counter in ["\"engine.runs\": 1", "\"engine.block_pages\": "] {
+        assert!(stderr.contains(counter), "no {counter} in {stderr}");
+    }
+}
+
 #[test]
 fn errors_are_reported_cleanly() {
     // Unknown command.

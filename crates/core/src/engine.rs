@@ -24,12 +24,12 @@
 //! granularities and the coalescing switch, so block lookups, persist
 //! detection and the last-persist table are shared too.
 
+use crate::block_table::BlockTable;
 use crate::domain::{Domain, EventRef, Mask, WriteRec};
 use crate::rules::{BarrierOp, Conflicts, Order, Rules};
 use crate::AnalysisConfig;
 use mem_trace::{Event, Op};
-use persist_mem::{FxHashMap, Space};
-use std::collections::hash_map::Entry;
+use persist_mem::Space;
 use std::io;
 
 struct ThreadState<D: Domain> {
@@ -47,6 +47,13 @@ struct BlockState<D: Domain> {
     writer: D::Dep,
     /// Join of constraints carried by reads since the last write.
     readers: D::Dep,
+}
+
+impl<D: Domain> BlockState<D> {
+    /// The state of a block no access has touched.
+    fn bottom(dom: &D) -> Self {
+        BlockState { writer: dom.bottom(), readers: dom.bottom() }
+    }
 }
 
 /// A run's rules as lane masks: lane *k* follows its model's [`Rules`].
@@ -136,13 +143,16 @@ pub struct EngineStats {
 /// Reusable engine working state.
 ///
 /// The block tables and per-thread dependence values dominate the engine's
-/// allocation profile; keeping a `Scratch` alive across runs (hash-table
-/// capacity, dependence buffers) lets sweep loops analyze thousands of
-/// traces without re-growing them each time.
+/// allocation profile; keeping a `Scratch` alive across runs (the block
+/// tables' pages, dependence buffers) lets sweep loops analyze thousands
+/// of traces without re-growing them each time.
 pub(crate) struct Scratch<D: Domain> {
     threads: Vec<ThreadState<D>>,
-    blocks: FxHashMap<u64, BlockState<D>>,
-    last_persist: FxHashMap<u64, D::PRef>,
+    /// Conflict state per tracking-granularity block.
+    blocks: BlockTable<BlockState<D>>,
+    /// The last persist to each atomic-persist block, while it may still
+    /// be coalesced into.
+    last_persist: BlockTable<Option<D::PRef>>,
     /// Per-event incoming-constraint accumulator.
     input: D::Dep,
     /// Per-event outgoing-constraint accumulator.
@@ -153,8 +163,8 @@ impl<D: Domain> Scratch<D> {
     pub(crate) fn new(dom: &D) -> Self {
         Scratch {
             threads: Vec::new(),
-            blocks: FxHashMap::default(),
-            last_persist: FxHashMap::default(),
+            blocks: BlockTable::new(),
+            last_persist: BlockTable::new(),
             input: dom.bottom(),
             out: dom.bottom(),
         }
@@ -163,8 +173,8 @@ impl<D: Domain> Scratch<D> {
     /// Clears analysis state while keeping allocated capacity for the next
     /// run.
     pub(crate) fn reset(&mut self, dom: &D, thread_count: usize) {
-        self.blocks.clear();
-        self.last_persist.clear();
+        self.blocks.reset(|| BlockState::bottom(dom));
+        self.last_persist.reset(|| None);
         self.threads.clear();
         self.threads.resize_with(thread_count, || ThreadState {
             prev: dom.bottom(),
@@ -259,15 +269,22 @@ impl<'s, D: Domain> Run<'s, D> {
     /// Ends the run, emitting the end-of-run observability counters
     /// (aggregate-only: totals are a function of the trace and config,
     /// never of scheduling, so the merged snapshot stays deterministic).
-    /// A run counts once however many lanes it carries.
+    /// A run counts once however many lanes it carries. `block_pages`
+    /// and `block_spill` are the pages and spilled blocks both block
+    /// tables hold at the end: the run's table memory.
     pub(crate) fn finish(self) -> (D, EngineStats) {
         let stats = self.state.stats;
         if obsv::enabled() {
+            let Scratch { blocks, last_persist, .. } = &*self.scratch;
+            let pages = blocks.pages() + last_persist.pages();
+            let spill = blocks.spilled() + last_persist.spilled();
             obsv::counter_add("engine.runs", 1);
             obsv::counter_add("engine.events", stats.events);
             obsv::counter_add("engine.persists", stats.persist_ops);
             obsv::counter_add("engine.coalesced", stats.coalesced);
             obsv::counter_add("engine.barriers", stats.barriers);
+            obsv::counter_add("engine.block_pages", pages as u64);
+            obsv::counter_add("engine.block_spill", spill as u64);
             obsv::observe("engine.events_per_run", stats.events);
         }
         (self.dom, stats)
@@ -317,9 +334,10 @@ fn push_events<D: Domain>(
                 //    plus conflict inheritance from the touched blocks.
                 //
                 //    Accesses almost always fit one tracked block; that
-                //    path resolves the block entry ONCE and holds it across
-                //    the persist step, halving the hash traffic of the hot
-                //    loop. Spanning accesses take the general two-pass walk.
+                //    path resolves the block's slot ONCE and holds it
+                //    across the persist step. Spanning accesses take the
+                //    general two-pass walk, whose first pass creates no
+                //    block.
                 input.clone_from(&threads[t].prev);
                 let single = tracking.contains_access(addr, len as u64);
                 let mut fast: Option<(&mut BlockState<D>, &SpaceRules<D::Mask>)> = None;
@@ -327,11 +345,7 @@ fn push_events<D: Domain>(
                     let blk = tracking.block_of(addr);
                     let space = rules.space(blk.space);
                     if space.tracked {
-                        let bs =
-                            blocks.entry(blk.to_bits()).or_insert_with(|| BlockState {
-                                writer: dom.bottom(),
-                                readers: dom.bottom(),
-                            });
+                        let bs = blocks.slot(blk.to_bits(), || BlockState::bottom(dom));
                         inherit(dom, space, input, bs, is_write);
                         fast = Some((bs, space));
                     }
@@ -341,7 +355,7 @@ fn push_events<D: Domain>(
                         if !space.tracked {
                             continue;
                         }
-                        if let Some(bs) = blocks.get(&blk.to_bits()) {
+                        if let Some(bs) = blocks.get(blk.to_bits()) {
                             inherit(dom, space, input, bs, is_write);
                         }
                     }
@@ -362,31 +376,26 @@ fn push_events<D: Domain>(
                     };
                     let ev = EventRef { index, thread: e.thread, work: threads[t].work };
                     let p = if atomic.contains_access(addr, len as u64) {
-                        let ab = atomic.block_of(addr).to_bits();
-                        match last_persist.entry(ab) {
-                            Entry::Occupied(mut o) => {
-                                let (p, coalesced) = if config.coalescing {
-                                    dom.persist_onto(input, *o.get(), w, ev)
-                                } else {
-                                    (dom.new_persist(input, w, ev), false)
-                                };
+                        let last = last_persist.slot(atomic.block_of(addr).to_bits(), || None);
+                        let p = match *last {
+                            Some(target) if config.coalescing => {
+                                let (p, coalesced) = dom.persist_onto(input, target, w, ev);
                                 stats.coalesced += coalesced as u64;
-                                o.insert(p);
                                 p
                             }
-                            Entry::Vacant(v) => {
-                                let p = dom.new_persist(input, w, ev);
-                                v.insert(p);
-                                p
-                            }
-                        }
+                            _ => dom.new_persist(input, w, ev),
+                        };
+                        *last = Some(p);
+                        p
                     } else {
                         // A persist spanning atomic blocks is not atomic
                         // with respect to failure: it never coalesces, and
                         // nothing may coalesce with it.
                         let p = dom.new_persist(input, w, ev);
                         for ab in atomic.blocks_of(addr, len as u64) {
-                            last_persist.remove(&ab.to_bits());
+                            if let Some(last) = last_persist.get_mut(ab.to_bits()) {
+                                *last = None;
+                            }
                         }
                         p
                     };
@@ -406,10 +415,7 @@ fn push_events<D: Domain>(
                         if !space.tracked {
                             continue;
                         }
-                        let bs = blocks.entry(blk.to_bits()).or_insert_with(|| BlockState {
-                            writer: dom.bottom(),
-                            readers: dom.bottom(),
-                        });
+                        let bs = blocks.slot(blk.to_bits(), || BlockState::bottom(dom));
                         update(dom, space, out, bs, is_write, persist_ref);
                     }
                 }
@@ -509,5 +515,133 @@ fn update<D: Domain>(
     }
     if let Some(p) = persist_ref {
         dom.assign_pref_where(&mut bs.writer, p, space.last_persist);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::block_table::{DENSE_BLOCKS, PAGE_BLOCKS};
+    use crate::dag::PersistDag;
+    use crate::partition::{self, TraceChunks};
+    use crate::timing::{self, TimingReport};
+    use crate::{profile, AnalysisConfig, Model};
+    use mem_trace::{Op, Trace, TraceBuilder};
+    use persist_mem::{MemAddr, TrackingGranularity};
+
+    /// Largest granularity the tests use: translating by a multiple of
+    /// `PAGE_BLOCKS` of these keeps every block on the same page slot.
+    const GRAN: u64 = 8;
+
+    /// A two-thread trace around byte 512 — block 63|64 at the default
+    /// 8-byte granularities, a block-table page boundary — with every
+    /// address `shift` bytes up.
+    ///
+    /// `A1` and `A2` persist into atomic blocks 63 and 64; the 8-byte
+    /// store `S` spans both, so neither may be coalesced into afterwards.
+    /// With 4-byte tracking `S` conflicts with neither, so `P1` and `P2`
+    /// coalesce into `A1` and `A2` exactly when `S` is left out or fails
+    /// to clear a block. Loads and stores spanning fresh pages take the
+    /// engine's two-pass path.
+    fn boundary_trace(shift: u64, spanning: bool) -> Trace {
+        let p = |off: u64| MemAddr::persistent(shift + off);
+        let v = |off: u64| MemAddr::volatile(shift + off);
+        let store = |addr, len, value| Op::Store { addr, len, value };
+        let load = |addr, len| Op::Load { addr, len, value: 0 };
+        let mut b = TraceBuilder::new(2);
+        b.op(0, store(p(504), 4, 1)); // A1
+        b.op(0, store(p(516), 4, 2)); // A2
+        b.op(1, load(p(1020), 8));
+        b.op(1, Op::Rmw { addr: v(508), len: 8, old: 0, new: 1 });
+        if spanning {
+            b.op(1, store(p(508), 8, 3)); // S
+        }
+        b.op(0, store(p(504), 4, 4)); // P1
+        b.op(0, store(p(516), 4, 5)); // P2
+        b.persist_barrier(0);
+        b.op(0, load(v(508), 8));
+        b.op(0, load(p(508), 8));
+        b.op(0, store(p(1020), 8, 6));
+        b.op(1, store(p(512), 4, 7));
+        b.persist_barrier(1).new_strand(1);
+        b.op(1, store(p(1016), 8, 8));
+        b.build()
+    }
+
+    fn configs(tracking: u64) -> Vec<AnalysisConfig> {
+        let tracking = TrackingGranularity::new(tracking).unwrap();
+        Model::ALL.iter().map(|&m| AnalysisConfig { tracking, ..AnalysisConfig::new(m) }).collect()
+    }
+
+    fn unshift(addr: MemAddr, shift: u64) -> MemAddr {
+        MemAddr::new(addr.space(), addr.offset() - shift)
+    }
+
+    /// Everything the engine's consumers report for `trace` under
+    /// `configs`, with addresses moved `shift` bytes back down.
+    fn outputs(trace: &Trace, configs: &[AnalysisConfig], shift: u64) -> Vec<String> {
+        let mut out = Vec::new();
+        let scalar: Vec<TimingReport> = configs.iter().map(|c| timing::analyze(trace, c)).collect();
+        let (_, lanes) =
+            partition::analyze_full(&TraceChunks::new(trace, 5), configs, 1).expect("analyze");
+        assert_eq!(lanes, scalar, "lane walk equals the scalar walks");
+        out.push(format!("{scalar:?}"));
+        for c in configs {
+            let dag = PersistDag::build(trace, c).expect("dag");
+            let nodes: Vec<_> = dag
+                .nodes()
+                .iter()
+                .map(|n| {
+                    let writes: Vec<_> =
+                        n.writes.iter().map(|w| (unshift(w.addr, shift), w.len, w.value)).collect();
+                    (n.deps.to_vec(), writes, n.events.to_vec(), n.thread)
+                })
+                .collect();
+            out.push(format!("{nodes:?} {:?} {}", dag.stats(), dag.critical_path()));
+            let mut report = profile::profile(trace, c, 64).expect("profile");
+            for step in &mut report.path {
+                step.addr = unshift(step.addr, shift);
+            }
+            out.push(format!("{report:?}"));
+        }
+        out
+    }
+
+    /// Moving the trace by whole pages, to the last dense page (block 63
+    /// dense, block 64 spilled) and past the dense cap changes no
+    /// output, under every model at both tracking granularities.
+    #[test]
+    fn page_translation_changes_no_output() {
+        let span = PAGE_BLOCKS * GRAN;
+        for tracking in [8, 4] {
+            let configs = configs(tracking);
+            let base = outputs(&boundary_trace(0, true), &configs, 0);
+            for shift in [3 * span, DENSE_BLOCKS * GRAN - span, 2 * DENSE_BLOCKS * GRAN] {
+                let moved = outputs(&boundary_trace(shift, true), &configs, shift);
+                for (b, m) in base.iter().zip(&moved) {
+                    assert_eq!(b, m, "tracking {tracking}, shift {shift:#x}");
+                }
+            }
+        }
+    }
+
+    /// The spanning persist clears the last persist of both atomic blocks,
+    /// on both sides of the page boundary, at every translation. Under
+    /// epoch persistency with 4-byte tracking, `P1` and `P2` coalesce into
+    /// `A1` and `A2` only without it; the later store to byte 512
+    /// coalesces into whatever block 64 last holds either way.
+    #[test]
+    fn spanning_persist_clears_both_pages() {
+        let epoch = AnalysisConfig {
+            tracking: TrackingGranularity::new(4).unwrap(),
+            ..AnalysisConfig::new(Model::Epoch)
+        };
+        let span = PAGE_BLOCKS * GRAN;
+        for shift in [0, 3 * span, DENSE_BLOCKS * GRAN - span, 2 * DENSE_BLOCKS * GRAN] {
+            let with = timing::analyze(&boundary_trace(shift, true), &epoch);
+            let without = timing::analyze(&boundary_trace(shift, false), &epoch);
+            assert_eq!((with.stats.coalesced, without.stats.coalesced), (1, 3), "shift {shift:#x}");
+            let dag = PersistDag::build(&boundary_trace(shift, true), &epoch).unwrap();
+            assert_eq!(dag.stats().coalesced, 0, "shift {shift:#x}");
+        }
     }
 }

@@ -53,6 +53,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod block_table;
 pub mod buffer;
 pub mod crash;
 pub mod cycle;

@@ -279,10 +279,10 @@ pub fn analyze(trace: &Trace, config: &AnalysisConfig) -> TimingReport {
 
 /// Reusable timing analyzer.
 ///
-/// Keeps the engine's working state (block hash tables, per-thread
+/// Keeps the engine's working state (paged block tables, per-thread
 /// dependence values) alive between runs so sweep loops that analyze many
-/// (trace, config) cells back to back skip the per-run growth of those
-/// tables. One-shot callers can keep using [`analyze`].
+/// (trace, config) cells back to back skip the per-run allocation of
+/// those tables. One-shot callers can keep using [`analyze`].
 pub struct Analyzer {
     scratch: engine::Scratch<LevelDomain>,
 }
