@@ -27,7 +27,7 @@
 //! DFS, so a join costs O(chains + members) instead of one reachability
 //! query per pair of members.
 
-use crate::domain::{Domain, EventRef, WriteRec};
+use crate::domain::{Domain, EventRef, LaneMask, WriteRec};
 use crate::engine::{self, EngineStats};
 use crate::smallvec::SmallVec;
 use crate::AnalysisConfig;
@@ -429,8 +429,8 @@ pub(crate) struct DagDomain {
     levels: Vec<u32>,
     /// Constant-time chain-decomposition reachability.
     reach: ReachIndex,
-    /// Pooled DFS working set for off-chain dominance queries ([`Domain`]
-    /// exposes `can_coalesce` through `&self`, hence the `RefCell`).
+    /// Pooled DFS working set for off-chain dominance queries (they run
+    /// from `&self` helpers, hence the `RefCell`).
     arena: RefCell<QueryArena>,
     /// Nodes the chain index could not place.
     offchain: u64,
@@ -519,7 +519,7 @@ impl DagDomain {
 impl Domain for DagDomain {
     type Dep = Frontier;
     type PRef = u32;
-    type Mask = bool;
+    type Mask = LaneMask<1>;
 
     fn bottom(&self) -> Frontier {
         Frontier::default()
@@ -570,15 +570,16 @@ impl Domain for DagDomain {
         id
     }
 
-    fn can_coalesce(&self, input: &Frontier, target: u32) -> bool {
+    fn persist_onto(&mut self, input: &Frontier, target: u32, w: WriteRec, ev: EventRef) -> (u32, u64) {
         let row = self.reach.row(target);
-        clock_le(self.clock(input), row) && self.covers_offchain(&[target], input.ids())
-    }
-
-    fn coalesce(&mut self, target: u32, w: WriteRec, ev: EventRef) {
-        let n = &mut self.nodes[target as usize];
-        n.writes.push(w);
-        n.events.push(ev);
+        if clock_le(self.clock(input), row) && self.covers_offchain(&[target], input.ids()) {
+            let n = &mut self.nodes[target as usize];
+            n.writes.push(w);
+            n.events.push(ev);
+            (target, 1)
+        } else {
+            (self.new_persist(input, w, ev), 0)
+        }
     }
 
     fn dep_of(&self, p: u32) -> Frontier {
@@ -639,8 +640,8 @@ impl PersistDag {
         let (dom, stats) = BUILD_SCRATCH
             .with(|s| {
                 let mut scratch = s.borrow_mut();
-                let mut run =
-                    engine::Run::begin(config, nthreads, DagDomain::default(), &mut scratch);
+                let lanes = std::slice::from_ref(config);
+                let mut run = engine::Run::begin(lanes, nthreads, DagDomain::default(), &mut scratch);
                 feed(&mut run)?;
                 Ok(run.finish())
             })
@@ -901,7 +902,7 @@ mod tests {
     impl Domain for ClosureDomain {
         type Dep = Vec<u32>;
         type PRef = u32;
-        type Mask = bool;
+        type Mask = LaneMask<1>;
 
         fn bottom(&self) -> Vec<u32> {
             Vec::new()
@@ -930,15 +931,22 @@ mod tests {
             id
         }
 
-        fn can_coalesce(&self, input: &Vec<u32>, target: u32) -> bool {
+        fn persist_onto(
+            &mut self,
+            input: &Vec<u32>,
+            target: u32,
+            w: WriteRec,
+            ev: EventRef,
+        ) -> (u32, u64) {
             let down = &self.closure[target as usize];
-            input.iter().all(|x| down.binary_search(x).is_ok())
-        }
-
-        fn coalesce(&mut self, target: u32, w: WriteRec, ev: EventRef) {
-            let n = &mut self.nodes[target as usize];
-            n.writes.push(w);
-            n.events.push(ev);
+            if input.iter().all(|x| down.binary_search(x).is_ok()) {
+                let n = &mut self.nodes[target as usize];
+                n.writes.push(w);
+                n.events.push(ev);
+                (target, 1)
+            } else {
+                (self.new_persist(input, w, ev), 0)
+            }
         }
 
         fn dep_of(&self, p: u32) -> Vec<u32> {
@@ -948,7 +956,8 @@ mod tests {
 
     fn run_domain<D: Domain>(trace: &Trace, config: &AnalysisConfig, dom: D) -> (D, EngineStats) {
         let mut scratch = engine::Scratch::new(&dom);
-        let mut run = engine::Run::begin(config, trace.thread_count(), dom, &mut scratch);
+        let lanes = std::slice::from_ref(config);
+        let mut run = engine::Run::begin(lanes, trace.thread_count(), dom, &mut scratch);
         run.push_events(trace.events()).unwrap();
         run.finish()
     }

@@ -2,10 +2,11 @@
 //!
 //! The persistency-model propagation rules (how persist-order constraints
 //! flow through thread and memory state, §7 "Persist Timing Simulation")
-//! are identical whether the analysis tracks scalar critical-path *levels*
-//! (fast, for the figures) or explicit *node sets* (exact, for the recovery
-//! observer). [`Domain`] abstracts over the representation; the engine in
-//! [`crate::engine`] is written once against it.
+//! are identical whether the analysis tracks critical-path *levels* (fast,
+//! for the figures and the profiler's what-ifs) or explicit *node sets*
+//! (exact, for the recovery observer). [`Domain`] abstracts over the
+//! representation; the engine in [`crate::engine`] is written once
+//! against it.
 
 use crate::rules::Rules;
 use mem_trace::ThreadId;
@@ -34,9 +35,9 @@ pub struct EventRef {
     pub work: Option<u64>,
 }
 
-/// The set of a run's model lanes one rule applies to. A domain that
-/// analyzes one model uses `bool`; a domain that carries several models at
-/// once (lane *k* follows model *k*) uses a per-lane mask.
+/// The set of a run's lanes one rule applies to: a domain that carries
+/// `N` analyses at once (lane *k* follows model *k*) uses a
+/// [`LaneMask<N>`].
 pub(crate) trait Mask: Copy {
     /// The mask holding lane *k* iff `f(lanes[k])`.
     fn of(lanes: &[Rules], f: impl Fn(Rules) -> bool) -> Self;
@@ -45,16 +46,30 @@ pub(crate) trait Mask: Copy {
     fn any(self) -> bool;
 }
 
-impl Mask for bool {
-    #[inline]
-    fn of(lanes: &[Rules], f: impl Fn(Rules) -> bool) -> bool {
-        assert_eq!(lanes.len(), 1, "a one-model domain runs one model lane");
-        f(lanes[0])
+/// The lanes of an `N`-lane run a rule applies to: all ones in a lane
+/// that it applies to, zero elsewhere, so masking a 32-bit level is one
+/// `and` (bottom is 0).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LaneMask<const N: usize> {
+    pub(crate) lanes: [u32; N],
+    /// Some lane is in the mask: a rule no lane follows costs no work.
+    pub(crate) any: bool,
+}
+
+impl<const N: usize> Mask for LaneMask<N> {
+    /// Lanes past `lanes.len()` are in no mask.
+    fn of(lanes: &[Rules], f: impl Fn(Rules) -> bool) -> Self {
+        assert!(lanes.len() <= N, "{} lanes, at most {N}", lanes.len());
+        let mut m = [0; N];
+        for (m, &r) in m.iter_mut().zip(lanes) {
+            *m = if f(r) { u32::MAX } else { 0 };
+        }
+        LaneMask { lanes: m, any: m.contains(&u32::MAX) }
     }
 
     #[inline]
     fn any(self) -> bool {
-        self
+        self.any
     }
 }
 
@@ -65,15 +80,19 @@ impl Mask for bool {
 /// coalescing target.
 ///
 /// The `*_where` operations apply to the lanes of a [`Mask`]. Their
-/// defaults treat the mask as all or nothing, which is exact for `bool`
-/// masks; a domain with several model lanes overrides them.
+/// defaults treat the mask as all or nothing, which is exact for one
+/// lane; a domain with several lanes overrides them.
 pub(crate) trait Domain {
     /// Accumulated dependence constraint.
     type Dep: Clone;
     /// Handle to a created persist (coalescing target).
     type PRef: Copy;
-    /// The model lanes a rule applies to.
+    /// The lanes a rule applies to.
     type Mask: Mask;
+
+    /// Most persist operations one run may hold. The engine returns an
+    /// error at the persist that would pass it.
+    const MAX_PERSISTS: u64 = u64::MAX;
 
     /// The empty constraint.
     fn bottom(&self) -> Self::Dep;
@@ -84,45 +103,19 @@ pub(crate) trait Domain {
     /// Creates a new persist ordered after `input`.
     fn new_persist(&mut self, input: &Self::Dep, w: WriteRec, ev: EventRef) -> Self::PRef;
 
-    /// `true` if a persist with incoming constraint `input` may coalesce
-    /// into `target` — i.e. every dependence in `input` is already ordered
-    /// at or before `target` (§7: coalescing must not violate any persist
-    /// order constraint).
-    fn can_coalesce(&self, input: &Self::Dep, target: Self::PRef) -> bool;
-
-    /// Merges a persist into `target` (must only be called after
-    /// [`Domain::can_coalesce`] returned `true`).
-    fn coalesce(&mut self, target: Self::PRef, w: WriteRec, ev: EventRef);
-
     /// A persist with incoming constraint `input` to an atomic-persist
     /// block whose last persist is `target`, under coalescing: merges into
-    /// `target` when legal, else creates a new persist. Returns the persist
-    /// the write ended up in and whether it coalesced. Domains that carry
-    /// several analyses at once override this to decide per analysis.
-    #[inline]
+    /// `target` if every dependence in `input` is already ordered at or
+    /// before `target` (§7: coalescing must not violate any persist order
+    /// constraint), else creates a new persist. Returns the persist the
+    /// write ended up in and the number of analyses in which it coalesced.
     fn persist_onto(
         &mut self,
         input: &Self::Dep,
         target: Self::PRef,
         w: WriteRec,
         ev: EventRef,
-    ) -> (Self::PRef, bool) {
-        if self.can_coalesce(input, target) {
-            self.coalesce(target, w, ev);
-            (target, true)
-        } else {
-            (self.new_persist(input, w, ev), false)
-        }
-    }
-
-    /// Folds a thread's epoch-local constraint `cur` into its prefix
-    /// `prev` at the ordering barrier at trace index `index`, leaving `cur`
-    /// empty for the next epoch.
-    #[inline]
-    fn fold(&mut self, prev: &mut Self::Dep, cur: &mut Self::Dep, _index: usize) {
-        self.join(prev, cur);
-        self.reset_dep(cur);
-    }
+    ) -> (Self::PRef, u64);
 
     /// The constraint "ordered after persist `p`".
     fn dep_of(&self, p: Self::PRef) -> Self::Dep;
@@ -178,11 +171,14 @@ pub(crate) trait Domain {
         }
     }
 
-    /// [`fold`](Domain::fold) in the lanes of `m`.
+    /// Folds a thread's epoch-local constraint `cur` into its prefix
+    /// `prev` in the lanes of `m`, at the ordering barrier at trace index
+    /// `index`, leaving `cur` empty there for the next epoch.
     #[inline]
-    fn fold_where(&mut self, prev: &mut Self::Dep, cur: &mut Self::Dep, index: usize, m: Self::Mask) {
+    fn fold_where(&mut self, prev: &mut Self::Dep, cur: &mut Self::Dep, _index: usize, m: Self::Mask) {
         if m.any() {
-            self.fold(prev, cur, index);
+            self.join(prev, cur);
+            self.reset_dep(cur);
         }
     }
 }

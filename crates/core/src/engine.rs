@@ -1,10 +1,11 @@
 //! Generic persist-order constraint propagation over a trace.
 //!
 //! Implements the persistency models' [`Rules`] against any [`Domain`]. A
-//! run carries one model per domain lane: scalar domains run one, and the
-//! timing engine's model-lane domain runs every model of a
-//! `psim analyze` in one walk. Each rule below is a [`Mask`] of the lanes
-//! it applies to, derived once per run from each lane's [`Rules`]:
+//! run carries one model per domain lane: the persist DAG runs one, and
+//! the timing engine's level domain ([`crate::timing`]'s `Lanes`) runs one
+//! to eight — every model of a `psim analyze`, or a profiler's barrier
+//! what-ifs — in one walk. Each rule below is a [`Mask`] of the lanes it
+//! applies to, derived once per run from each lane's [`Rules`]:
 //!
 //! - **Thread state**: `prev` holds constraints that order all *future*
 //!   persists of the thread; `cur` accumulates constraints observed since
@@ -18,7 +19,10 @@
 //! - **Coalescing**: every persist attempts to coalesce with the last
 //!   persist to its atomic-persist block; it may iff none of its incoming
 //!   dependences is newer than that persist. Lanes decide this on their
-//!   own through [`Domain::persist_onto`].
+//!   own through [`Domain::persist_onto`], and the run's `coalesced`
+//!   count sums them.
+//! - **Persist count**: a run holds at most the domain's
+//!   [`Domain::MAX_PERSISTS`] persists and returns an error at the next.
 //!
 //! Every lane of a run shares the trace, the atomic-persist and tracking
 //! granularities and the coalescing switch, so block lookups, persist
@@ -128,7 +132,8 @@ impl<M: Mask> LaneRules<M> {
 pub struct EngineStats {
     /// Number of persist operations (stores/RMWs to persistent space).
     pub persist_ops: u64,
-    /// Persist operations that coalesced into an earlier persist.
+    /// Persist operations that coalesced into an earlier persist, summed
+    /// over the run's lanes.
     pub coalesced: u64,
     /// Completed work items (`WorkEnd` markers).
     pub work_items: u64,
@@ -199,7 +204,7 @@ struct RunState {
 pub(crate) struct Run<'s, D: Domain> {
     /// The configuration of lane 0; every lane shares its non-model
     /// fields.
-    pub(crate) config: AnalysisConfig,
+    config: AnalysisConfig,
     rules: LaneRules<D::Mask>,
     nthreads: usize,
     dom: D,
@@ -208,16 +213,6 @@ pub(crate) struct Run<'s, D: Domain> {
 }
 
 impl<'s, D: Domain> Run<'s, D> {
-    /// Begins a one-model run.
-    pub(crate) fn begin(
-        config: &AnalysisConfig,
-        nthreads: u32,
-        dom: D,
-        scratch: &'s mut Scratch<D>,
-    ) -> Self {
-        Self::begin_lanes(std::slice::from_ref(config), nthreads, dom, scratch)
-    }
-
     /// Begins a run whose lane *k* analyzes `lanes[k]`.
     ///
     /// # Panics
@@ -225,7 +220,7 @@ impl<'s, D: Domain> Run<'s, D> {
     /// Panics if `lanes` is empty, if two lanes differ in anything but
     /// their model, or if the domain's mask cannot hold `lanes.len()`
     /// models.
-    pub(crate) fn begin_lanes(
+    pub(crate) fn begin(
         lanes: &[AnalysisConfig],
         nthreads: u32,
         dom: D,
@@ -253,7 +248,8 @@ impl<'s, D: Domain> Run<'s, D> {
     /// # Errors
     ///
     /// Returns `InvalidData` if an event names a thread outside the run's
-    /// thread count.
+    /// thread count, or at the persist that would pass the domain's
+    /// [`Domain::MAX_PERSISTS`].
     pub(crate) fn push_events(&mut self, events: &[Event]) -> io::Result<()> {
         push_events(
             &self.config,
@@ -298,7 +294,8 @@ impl<'s, D: Domain> Run<'s, D> {
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` if an event names a thread `>= nthreads`.
+/// Returns `InvalidData` if an event names a thread `>= nthreads`, or at
+/// the persist that would pass [`Domain::MAX_PERSISTS`].
 fn push_events<D: Domain>(
     config: &AnalysisConfig,
     rules: &LaneRules<D::Mask>,
@@ -367,6 +364,11 @@ fn push_events<D: Domain>(
                 //    events use `input` directly.
                 let mut persist_ref: Option<D::PRef> = None;
                 if is_persist {
+                    if stats.persist_ops == D::MAX_PERSISTS {
+                        let max = D::MAX_PERSISTS;
+                        let msg = format!("event {index} exceeds the analysis's limit of {max} persists");
+                        return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
+                    }
                     out.clone_from(input);
                     stats.persist_ops += 1;
                     let w = WriteRec {
@@ -380,7 +382,7 @@ fn push_events<D: Domain>(
                         let p = match *last {
                             Some(target) if config.coalescing => {
                                 let (p, coalesced) = dom.persist_onto(input, target, w, ev);
-                                stats.coalesced += coalesced as u64;
+                                stats.coalesced += coalesced;
                                 p
                             }
                             _ => dom.new_persist(input, w, ev),
@@ -523,10 +525,11 @@ mod tests {
     use crate::block_table::{DENSE_BLOCKS, PAGE_BLOCKS};
     use crate::dag::PersistDag;
     use crate::partition::{self, TraceChunks};
-    use crate::timing::{self, TimingReport};
+    use crate::timing::{self, Lanes, TimingReport};
     use crate::{profile, AnalysisConfig, Model};
     use mem_trace::{Op, Trace, TraceBuilder};
     use persist_mem::{MemAddr, TrackingGranularity};
+    use std::io;
 
     /// Largest granularity the tests use: translating by a multiple of
     /// `PAGE_BLOCKS` of these keeps every block on the same page slot.
@@ -643,5 +646,36 @@ mod tests {
             let dag = PersistDag::build(&boundary_trace(shift, true), &epoch).unwrap();
             assert_eq!(dag.stats().coalesced, 0, "shift {shift:#x}");
         }
+    }
+
+    /// A level run holds `u32::MAX` persists, so its 32-bit levels never
+    /// wrap: the persist that would be one more is an error, whatever the
+    /// width, and the run stops there.
+    #[test]
+    fn level_runs_hold_u32_max_persists() {
+        let mut b = TraceBuilder::new(1);
+        b.store(0, MemAddr::persistent(0), 1).store(0, MemAddr::persistent(64), 2);
+        let trace = b.build();
+        let configs = [AnalysisConfig::new(Model::Strict); 5];
+        fn check<const N: usize>(trace: &Trace, configs: &[AnalysisConfig]) {
+            let mut scratch = Lanes::<N>::scratch();
+            let mut run = Lanes::begin(configs, &[], 1, &mut scratch);
+            run.state.stats.persist_ops = u64::from(u32::MAX) - 1;
+            run.push_events(&trace.events()[..1]).expect("persist u32::MAX fits");
+            let err = run.push_events(&trace.events()[1..]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(
+                err.to_string(),
+                "event 1 exceeds the analysis's limit of 4294967295 persists"
+            );
+            let reports = run.reports();
+            assert_eq!(reports.len(), configs.len());
+            for r in reports {
+                assert_eq!((r.stats.persist_ops, r.critical_path), (u64::from(u32::MAX), 1));
+            }
+        }
+        check::<1>(&trace, &configs[..1]);
+        check::<5>(&trace, &configs);
+        check::<8>(&trace, &configs[..3]);
     }
 }

@@ -33,7 +33,7 @@
 use crate::dag::{DagError, PersistDag};
 use crate::domain::Domain;
 use crate::engine;
-use crate::timing::{LaneAnalyzer, TimingReport, MODEL_LANES};
+use crate::timing::{Lanes, TimingReport, MODEL_LANES};
 use crate::AnalysisConfig;
 use mem_trace::mmapio::MappedTrace;
 use mem_trace::profile::{ProfileRun, TraceProfile};
@@ -203,13 +203,13 @@ where
     let nthreads = feed.thread_count();
     let groups = lane_groups(configs);
     let mut profile = TraceProfile::begin(nthreads);
-    let mut analyzers: Vec<LaneAnalyzer> = groups.iter().map(|_| LaneAnalyzer::new()).collect();
-    let mut runs: Vec<_> = analyzers
+    let mut scratches: Vec<_> = groups.iter().map(|_| Lanes::<MODEL_LANES>::scratch()).collect();
+    let mut runs: Vec<_> = scratches
         .iter_mut()
         .zip(&groups)
-        .map(|(a, group)| {
+        .map(|(scratch, group)| {
             let lanes: Vec<AnalysisConfig> = group.iter().map(|&i| configs[i]).collect();
-            a.begin(&lanes, nthreads)
+            Lanes::begin(&lanes, &[], nthreads, scratch)
         })
         .collect();
     let mut sinks: Vec<Sink<'_>> = std::iter::once(&mut profile as Sink<'_>)

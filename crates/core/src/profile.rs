@@ -28,22 +28,21 @@
 //! work.
 
 use crate::dag::{DagError, PersistDag};
-use crate::domain::{Domain, EventRef, WriteRec};
-use crate::engine::{self, Scratch};
 use crate::rules::Rules;
-use crate::{timing, AnalysisConfig};
+use crate::timing::{self, Lanes};
+use crate::AnalysisConfig;
 use mem_trace::{Op, ThreadId, Trace};
 use persist_mem::MemAddr;
 
 /// Barrier what-ifs scored by one timing-engine pass.
 ///
 /// Every lane widens the engine's per-thread and per-block dependence
-/// values by one level, so peak memory, not time, sets the width: an
-/// 8-lane pass costs about 1.8 scalar timing passes (36 ms against 21 ms,
-/// medians of 15, on the 248k-event profile-queue trace of `mpbench` at
-/// seed 42, 2-core host), while 16 or 32 lanes grow the block tables until
-/// they outweigh the persist DAG the profile builds first, for no further
-/// speedup.
+/// values by one 32-bit level, so peak memory, not time, sets the width:
+/// an 8-lane pass costs about 1.7 one-lane passes of the same level
+/// domain (15 ms against 9 ms, medians of 15, on the 248k-event
+/// profile-queue trace of `mpbench` at seed 42, 2-core host), while 16 or
+/// 32 lanes grow the block tables until they outweigh the persist DAG the
+/// profile builds first, for no further speedup.
 pub const LANES: usize = 8;
 
 /// The kind of ordering constraint linking consecutive critical-path
@@ -281,107 +280,6 @@ pub fn walked_barriers(trace: &Trace, config: &AnalysisConfig, scored: &[usize])
     scored.iter().copied().filter(|&i| walks(trace, rules, i)).collect()
 }
 
-/// The level analysis of [`timing`], run as [`LANES`] what-ifs at once:
-/// lane *k* is the analysis of the trace with the event at `skip[k]`
-/// removed.
-///
-/// Lane skipping equals event removal because every candidate is an
-/// ordering barrier, whose only effect on engine state is the epoch fold it
-/// may trigger: lane *k* leaves that fold out (a barrier the model does not
-/// fold on leaves the lane equal to the baseline), the level domain never
-/// reads [`EventRef::index`] so the shifted indices after a removed event
-/// change nothing, and coalescing is decided per lane.
-#[derive(Debug)]
-struct LaneDomain {
-    /// Trace index each lane leaves out (`usize::MAX`: an unused lane).
-    skip: [usize; LANES],
-    /// Per-lane critical path so far.
-    max_level: [u32; LANES],
-}
-
-impl LaneDomain {
-    fn new(skip: &[usize]) -> Self {
-        let mut lanes = [usize::MAX; LANES];
-        lanes[..skip.len()].copy_from_slice(skip);
-        LaneDomain { skip: lanes, max_level: [0; LANES] }
-    }
-
-    #[inline]
-    fn note(&mut self, p: &[u32; LANES]) {
-        for (m, &l) in self.max_level.iter_mut().zip(p) {
-            *m = (*m).max(l);
-        }
-    }
-}
-
-impl Domain for LaneDomain {
-    /// Per-lane maximum level ordered before.
-    type Dep = [u32; LANES];
-    /// Per-lane level of the persist.
-    type PRef = [u32; LANES];
-    /// Every lane follows the one model: rules apply to all or none.
-    type Mask = bool;
-
-    fn bottom(&self) -> Self::Dep {
-        [0; LANES]
-    }
-
-    #[inline]
-    fn join(&mut self, into: &mut Self::Dep, from: &Self::Dep) {
-        for (i, &f) in into.iter_mut().zip(from) {
-            *i = (*i).max(f);
-        }
-    }
-
-    #[inline]
-    fn new_persist(&mut self, input: &Self::Dep, _w: WriteRec, _ev: EventRef) -> Self::PRef {
-        let p = input.map(|l| l + 1);
-        self.note(&p);
-        p
-    }
-
-    fn can_coalesce(&self, input: &Self::Dep, target: Self::PRef) -> bool {
-        input.iter().zip(&target).all(|(i, t)| i <= t)
-    }
-
-    fn coalesce(&mut self, _target: Self::PRef, _w: WriteRec, _ev: EventRef) {}
-
-    fn dep_of(&self, p: Self::PRef) -> Self::Dep {
-        p
-    }
-
-    /// Each lane coalesces or not on its own levels.
-    #[inline]
-    fn persist_onto(
-        &mut self,
-        input: &Self::Dep,
-        target: Self::PRef,
-        _w: WriteRec,
-        _ev: EventRef,
-    ) -> (Self::PRef, bool) {
-        let mut p = [0; LANES];
-        let mut all = true;
-        for k in 0..LANES {
-            let merge = input[k] <= target[k];
-            p[k] = if merge { target[k] } else { input[k] + 1 };
-            all &= merge;
-        }
-        self.note(&p);
-        (p, all)
-    }
-
-    /// The lane whose candidate is this barrier does not fold.
-    #[inline]
-    fn fold(&mut self, prev: &mut Self::Dep, cur: &mut Self::Dep, index: usize) {
-        for k in 0..LANES {
-            if self.skip[k] != index {
-                prev[k] = prev[k].max(cur[k]);
-                cur[k] = 0;
-            }
-        }
-    }
-}
-
 /// Per-thread persist-epoch index: `epoch_at(thread, index)` counts the
 /// epoch boundaries (persist barriers and syncs) the thread executed
 /// before trace index `index`.
@@ -562,8 +460,8 @@ pub fn score_barrier(
 ///
 /// # Panics
 ///
-/// Panics if a candidate is not an ordering barrier, or if the trace has
-/// `u32::MAX` or more events (lane levels are 32-bit).
+/// Panics if a candidate is not an ordering barrier, or if the trace holds
+/// more than `u32::MAX` persists (lane levels are 32-bit).
 pub fn score_barriers(
     trace: &Trace,
     config: &AnalysisConfig,
@@ -597,28 +495,23 @@ fn barrier_check(trace: &Trace, i: usize, cp: u64, baseline: u64) -> BarrierChec
 ///
 /// # Panics
 ///
-/// Panics if the trace has `u32::MAX` or more events (lane levels are
-/// 32-bit).
+/// Panics if the trace holds more than `u32::MAX` persists (lane levels
+/// are 32-bit).
 pub fn critical_paths_without(
     trace: &Trace,
     config: &AnalysisConfig,
     trace_indices: &[usize],
 ) -> Vec<u64> {
-    let events = trace.events();
-    // A level never exceeds the number of persists before it.
-    assert!(events.len() < u32::MAX as usize, "trace too long for 32-bit lane levels");
     let mut paths = Vec::with_capacity(trace_indices.len());
-    let mut scratch = Scratch::new(&LaneDomain::new(&[]));
+    let mut scratch = Lanes::<LANES>::scratch();
+    let configs = [*config; LANES];
     for group in trace_indices.chunks(LANES) {
-        let mut run = engine::Run::begin(
-            config,
-            trace.thread_count(),
-            LaneDomain::new(group),
-            &mut scratch,
-        );
-        run.push_events(events).expect("in-memory traces name only their own threads");
+        let lanes = &configs[..group.len()];
+        let mut run = Lanes::begin(lanes, group, trace.thread_count(), &mut scratch);
+        run.push_events(trace.events())
+            .expect("in-memory traces name only their own threads, at most u32::MAX of them persists");
         let (dom, _) = run.finish();
-        paths.extend(dom.max_level[..group.len()].iter().map(|&l| u64::from(l)));
+        paths.extend((0..group.len()).map(|k| dom.critical_path(k)));
     }
     paths
 }

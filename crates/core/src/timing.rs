@@ -4,214 +4,204 @@
 //! assumes infinite NVRAM bandwidth and banks, so persist throughput is
 //! limited only by the longest chain (critical path) of persist ordering
 //! constraints. This module computes that critical path by propagating
-//! scalar *levels* (DAG depth) through the engine.
+//! *levels* (DAG depth) through the engine.
 //!
 //! Coalescing legality is checked against timestamps (levels), mirroring
 //! the paper's methodology ("persist times are tracked per address … every
 //! persist attempts to coalesce with the last persist to that address").
-//! The scalar check may admit a coalesce between level-equal but unordered
+//! The level check may admit a coalesce between level-equal but unordered
 //! persists that the exact reachability check of [`crate::dag`] would
 //! refuse; the DAG engine is therefore an upper bound on the critical path
 //! and is the one used for recovery-correctness analyses.
 //!
-//! Several configs that differ only in their model run as lanes of one
-//! engine walk ([`ModelLanes`]); lane *k* equals the one-model analysis of
-//! config *k*.
+//! Every level analysis runs on one domain, [`Lanes`], as `N` analyses to
+//! one engine walk: lane *k* equals the one-model analysis of config *k*.
+//! [`Analyzer`] runs one lane, `psim analyze` one per model
+//! ([`MODEL_LANES`]), and the profiler's barrier what-ifs
+//! [`LANES`](crate::profile::LANES), each lane leaving out one barrier's
+//! fold.
 
-use crate::domain::{Domain, EventRef, Mask, WriteRec};
-use crate::engine::{self, EngineStats};
-use crate::rules::Rules;
+use crate::domain::{Domain, EventRef, LaneMask, WriteRec};
+use crate::engine::{self, EngineStats, Scratch};
 use crate::{AnalysisConfig, Model};
 use mem_trace::{EventSource, Trace};
 use std::io;
 
-/// Scalar level domain: a dependence is summarized by the maximum level of
-/// any persist that must happen before.
-#[derive(Debug, Default)]
-pub(crate) struct LevelDomain {
-    max_level: u64,
-    nodes: u64,
-}
-
-impl Domain for LevelDomain {
-    /// Maximum level ordered before.
-    type Dep = u64;
-    /// A persist is identified by its level (identity beyond the level is
-    /// irrelevant for timing).
-    type PRef = u64;
-    type Mask = bool;
-
-    fn bottom(&self) -> u64 {
-        0
-    }
-
-    fn join(&mut self, into: &mut u64, from: &u64) {
-        *into = (*into).max(*from);
-    }
-
-    fn new_persist(&mut self, input: &u64, _w: WriteRec, _ev: EventRef) -> u64 {
-        let level = input + 1;
-        self.max_level = self.max_level.max(level);
-        self.nodes += 1;
-        level
-    }
-
-    fn can_coalesce(&self, input: &u64, target: u64) -> bool {
-        // Coalescing folds the persist into `target`: legal iff no incoming
-        // dependence is newer than the target persist.
-        *input <= target
-    }
-
-    fn coalesce(&mut self, _target: u64, _w: WriteRec, _ev: EventRef) {}
-
-    fn dep_of(&self, p: u64) -> u64 {
-        p
-    }
-}
-
 /// Most model lanes one walk carries: one per model.
 pub(crate) const MODEL_LANES: usize = Model::ALL.len();
 
-/// Per-lane values of the [`ModelLanes`] domain.
-type Levels = [u64; MODEL_LANES];
-
-/// The lanes of a [`ModelLanes`] walk a rule applies to: all ones in a
-/// lane that it applies to, zero elsewhere, so masking a level is one
-/// `and` (bottom is 0).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct LaneMask(Levels);
-
-impl Mask for LaneMask {
-    /// Lanes past `lanes.len()` are in no mask.
-    fn of(lanes: &[Rules], f: impl Fn(Rules) -> bool) -> Self {
-        assert!(lanes.len() <= MODEL_LANES, "{} model lanes, at most {MODEL_LANES}", lanes.len());
-        let mut m = [0; MODEL_LANES];
-        for (m, &r) in m.iter_mut().zip(lanes) {
-            *m = if f(r) { u64::MAX } else { 0 };
-        }
-        LaneMask(m)
-    }
-
-    fn any(self) -> bool {
-        self.0.iter().any(|&m| m != 0)
-    }
-}
-
-/// The level domain of [`LevelDomain`], one level per model lane: lane
-/// *k* is the analysis of `configs[k]`. Levels are `u64` like the scalar
-/// domain's, so a lane overflows only where the scalar analysis would.
+/// The level domain, `N` analyses to one walk: a dependence is summarized
+/// per lane by the maximum level (DAG depth) of any persist that must
+/// happen before, and a persist by its level in each lane (identity beyond
+/// the level is irrelevant for timing).
+///
+/// Lane *k* follows `configs[k]`'s rules and leaves out the fold of the
+/// barrier at trace index `skip[k]`, which makes it the analysis of the
+/// trace with that barrier removed: an ordering barrier's only effect on
+/// engine state is the fold, this domain never reads
+/// [`EventRef::index`] (so the shifted indices after a removed event
+/// change nothing), and each lane coalesces on its own levels. Lanes past
+/// `configs.len()` are in no rule's mask and are never reported.
+///
+/// Levels are `u32`: a level never exceeds the persists before it, and a
+/// run holds at most `u32::MAX` persists ([`Domain::MAX_PERSISTS`]).
 #[derive(Debug)]
-pub(crate) struct ModelLanes {
+pub(crate) struct Lanes<const N: usize> {
+    /// The config of each lane in use.
     configs: Vec<AnalysisConfig>,
+    /// Trace index whose fold each lane leaves out (`usize::MAX`: none).
+    skip: [usize; N],
     /// Per-lane critical path so far.
-    max_level: Levels,
+    max_level: [u32; N],
     /// Per-lane persists that coalesced.
-    coalesced: Levels,
+    coalesced: [u64; N],
 }
 
-impl ModelLanes {
-    fn new(configs: &[AnalysisConfig]) -> Self {
-        ModelLanes {
-            configs: configs.to_vec(),
-            max_level: [0; MODEL_LANES],
-            coalesced: [0; MODEL_LANES],
-        }
+impl<const N: usize> Lanes<N> {
+    fn new(configs: &[AnalysisConfig], skip: &[usize]) -> Self {
+        let mut lanes = [usize::MAX; N];
+        lanes[..skip.len()].copy_from_slice(skip);
+        Lanes { configs: configs.to_vec(), skip: lanes, max_level: [0; N], coalesced: [0; N] }
+    }
+
+    /// Working state for walks of this width.
+    pub(crate) fn scratch() -> Scratch<Self> {
+        Scratch::new(&Self::new(&[], &[]))
+    }
+
+    /// Begins a walk whose lane *k* analyzes `configs[k]`, leaving out the
+    /// fold of the barrier at trace index `skip[k]` where one is given.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `configs` is empty, holds more than `N` configs or two
+    /// that differ in anything but the model, or if `skip` is longer than
+    /// `configs`.
+    pub(crate) fn begin<'s>(
+        configs: &[AnalysisConfig],
+        skip: &[usize],
+        nthreads: u32,
+        scratch: &'s mut Scratch<Self>,
+    ) -> LaneRun<'s, N> {
+        assert!(skip.len() <= configs.len(), "a skipped barrier for every lane at most");
+        engine::Run::begin(configs, nthreads, Self::new(configs, skip), scratch)
+    }
+
+    /// Lane `k`'s critical path so far.
+    pub(crate) fn critical_path(&self, k: usize) -> u64 {
+        u64::from(self.max_level[k])
     }
 
     #[inline]
-    fn note(&mut self, p: &Levels) {
+    fn note(&mut self, p: &[u32; N]) {
         for (m, &l) in self.max_level.iter_mut().zip(p) {
             *m = (*m).max(l);
         }
     }
 }
 
-impl Domain for ModelLanes {
+impl<const N: usize> Domain for Lanes<N> {
     /// Per-lane maximum level ordered before.
-    type Dep = Levels;
+    type Dep = [u32; N];
     /// Per-lane level of the persist.
-    type PRef = Levels;
-    type Mask = LaneMask;
+    type PRef = [u32; N];
+    type Mask = LaneMask<N>;
 
-    fn bottom(&self) -> Levels {
-        [0; MODEL_LANES]
+    /// A level never exceeds the persists before it, so 32-bit levels
+    /// never wrap.
+    const MAX_PERSISTS: u64 = u32::MAX as u64;
+
+    fn bottom(&self) -> [u32; N] {
+        [0; N]
     }
 
     #[inline]
-    fn join(&mut self, into: &mut Levels, from: &Levels) {
+    fn join(&mut self, into: &mut [u32; N], from: &[u32; N]) {
         for (i, &f) in into.iter_mut().zip(from) {
             *i = (*i).max(f);
         }
     }
 
     #[inline]
-    fn new_persist(&mut self, input: &Levels, _w: WriteRec, _ev: EventRef) -> Levels {
+    fn new_persist(&mut self, input: &[u32; N], _w: WriteRec, _ev: EventRef) -> [u32; N] {
         let p = input.map(|l| l + 1);
         self.note(&p);
         p
     }
 
-    fn can_coalesce(&self, input: &Levels, target: Levels) -> bool {
-        input.iter().zip(&target).all(|(i, t)| i <= t)
-    }
-
-    fn coalesce(&mut self, _target: Levels, _w: WriteRec, _ev: EventRef) {}
-
-    fn dep_of(&self, p: Levels) -> Levels {
+    fn dep_of(&self, p: [u32; N]) -> [u32; N] {
         p
     }
 
-    /// Each lane coalesces or not on its own levels, and counts its own
-    /// coalesced persists. The run's shared count is of persists that
-    /// coalesced in every lane.
+    /// Each lane coalesces iff no incoming dependence is newer than the
+    /// target persist, on its own levels, and counts its own coalesced
+    /// persists; the run's count is their sum over the lanes in use.
     #[inline]
     fn persist_onto(
         &mut self,
-        input: &Levels,
-        target: Levels,
+        input: &[u32; N],
+        target: [u32; N],
         _w: WriteRec,
         _ev: EventRef,
-    ) -> (Levels, bool) {
-        let mut p = [0; MODEL_LANES];
-        let mut all = true;
-        for k in 0..MODEL_LANES {
+    ) -> ([u32; N], u64) {
+        let used = self.configs.len();
+        let mut p = [0; N];
+        let mut merged = 0;
+        for k in 0..N {
             let merge = input[k] <= target[k];
             p[k] = if merge { target[k] } else { input[k] + 1 };
-            self.coalesced[k] += merge as u64;
-            all &= merge;
+            let counted = u64::from(merge && k < used);
+            self.coalesced[k] += counted;
+            merged += counted;
         }
         self.note(&p);
-        (p, all)
+        (p, merged)
     }
 
-    #[inline]
-    fn join_where(&mut self, into: &mut Levels, from: &Levels, m: LaneMask) {
-        for k in 0..MODEL_LANES {
-            into[k] = into[k].max(from[k] & m.0[k]);
+    // The masked operations are forced inline: left to the inliner, they
+    // and the engine's `update` stay calls in the 8-lane walk, which then
+    // runs a few percent slower.
+    #[inline(always)]
+    fn join_where(&mut self, into: &mut [u32; N], from: &[u32; N], m: LaneMask<N>) {
+        if m.any {
+            for k in 0..N {
+                into[k] = into[k].max(from[k] & m.lanes[k]);
+            }
         }
     }
 
-    #[inline]
-    fn assign_where(&mut self, into: &mut Levels, from: &Levels, m: LaneMask) {
-        for k in 0..MODEL_LANES {
-            into[k] = (from[k] & m.0[k]) | (into[k] & !m.0[k]);
+    #[inline(always)]
+    fn assign_where(&mut self, into: &mut [u32; N], from: &[u32; N], m: LaneMask<N>) {
+        if m.any {
+            for k in 0..N {
+                into[k] = (from[k] & m.lanes[k]) | (into[k] & !m.lanes[k]);
+            }
         }
     }
 
-    #[inline]
-    fn assign_pref_where(&mut self, into: &mut Levels, p: Levels, m: LaneMask) {
+    #[inline(always)]
+    fn assign_pref_where(&mut self, into: &mut [u32; N], p: [u32; N], m: LaneMask<N>) {
         self.assign_where(into, &p, m);
     }
 
-    #[inline]
-    fn reset_where(&self, dep: &mut Levels, m: LaneMask) {
-        for (d, &m) in dep.iter_mut().zip(&m.0) {
-            *d &= !m;
+    #[inline(always)]
+    fn reset_where(&self, dep: &mut [u32; N], m: LaneMask<N>) {
+        if m.any {
+            for (d, &m) in dep.iter_mut().zip(&m.lanes) {
+                *d &= !m;
+            }
         }
     }
 
-    #[inline]
-    fn fold_where(&mut self, prev: &mut Levels, cur: &mut Levels, _index: usize, m: LaneMask) {
+    /// The lane whose skipped barrier this is does not fold.
+    #[inline(always)]
+    fn fold_where(&mut self, prev: &mut [u32; N], cur: &mut [u32; N], index: usize, m: LaneMask<N>) {
+        let mut m = m;
+        for (m, &skip) in m.lanes.iter_mut().zip(&self.skip) {
+            if skip == index {
+                *m = 0;
+            }
+        }
         self.join_where(prev, cur, m);
         self.reset_where(cur, m);
     }
@@ -284,13 +274,13 @@ pub fn analyze(trace: &Trace, config: &AnalysisConfig) -> TimingReport {
 /// (trace, config) cells back to back skip the per-run allocation of
 /// those tables. One-shot callers can keep using [`analyze`].
 pub struct Analyzer {
-    scratch: engine::Scratch<LevelDomain>,
+    scratch: Scratch<Lanes<1>>,
 }
 
 impl Analyzer {
     /// Creates an analyzer with empty scratch state.
     pub fn new() -> Self {
-        Analyzer { scratch: engine::Scratch::new(&LevelDomain::default()) }
+        Analyzer { scratch: Lanes::scratch() }
     }
 
     /// Computes the critical path of `trace` under `config`, reusing
@@ -298,12 +288,11 @@ impl Analyzer {
     ///
     /// # Panics
     ///
-    /// Panics if an event names a thread outside `trace.thread_count()`.
+    /// Panics if an event names a thread outside `trace.thread_count()`,
+    /// or if the trace holds more than `u32::MAX` persists.
     pub fn analyze(&mut self, trace: &Trace, config: &AnalysisConfig) -> TimingReport {
-        let _span = obsv::span("timing.analyze");
-        let mut run = self.begin(config, trace.thread_count());
-        run.push_events(trace.events()).expect("a trace's events name only its own threads");
-        run.report()
+        self.analyze_with(config, trace.thread_count(), |run| run.push_events(trace.events()))
+            .expect("a trace's events name only its own threads, at most u32::MAX of them persists")
     }
 
     /// Streaming variant of [`Analyzer::analyze`]: one forward pass over
@@ -312,89 +301,55 @@ impl Analyzer {
     ///
     /// # Errors
     ///
-    /// Propagates the source's decode/I/O errors.
+    /// Propagates the source's decode/I/O errors, and returns
+    /// `InvalidData` past `u32::MAX` persists.
     pub fn analyze_source<E: EventSource>(
         &mut self,
         mut source: E,
         config: &AnalysisConfig,
     ) -> io::Result<TimingReport> {
+        self.analyze_with(config, source.thread_count(), |run| {
+            mem_trace::for_each_slab(&mut source, |slab| run.push_events(slab))
+        })
+    }
+
+    /// One one-lane walk whose event blocks `feed` pushes.
+    fn analyze_with(
+        &mut self,
+        config: &AnalysisConfig,
+        nthreads: u32,
+        feed: impl FnOnce(&mut LaneRun<'_, 1>) -> io::Result<()>,
+    ) -> io::Result<TimingReport> {
         let _span = obsv::span("timing.analyze");
-        let mut run = self.begin(config, source.thread_count());
-        mem_trace::for_each_slab(&mut source, |slab| run.push_events(slab))?;
-        Ok(run.report())
-    }
-
-    /// Begins an incremental analysis: the caller pushes event blocks
-    /// through [`engine::Run::push_events`] in stream order and takes the
-    /// [`report`](TimingRun::report). Equivalent to
-    /// [`analyze_source`](Analyzer::analyze_source) over the concatenated
-    /// blocks.
-    pub(crate) fn begin(&mut self, config: &AnalysisConfig, nthreads: u32) -> TimingRun<'_> {
-        engine::Run::begin(config, nthreads, LevelDomain::default(), &mut self.scratch)
+        let mut run = Lanes::begin(std::slice::from_ref(config), &[], nthreads, &mut self.scratch);
+        feed(&mut run)?;
+        Ok(run.reports().pop().expect("one report per lane"))
     }
 }
 
-/// An in-progress incremental critical-path analysis (see
-/// [`Analyzer::begin`]).
-pub(crate) type TimingRun<'s> = engine::Run<'s, LevelDomain>;
+/// An in-progress level analysis (see [`Lanes::begin`]).
+pub(crate) type LaneRun<'s, const N: usize> = engine::Run<'s, Lanes<N>>;
 
-impl TimingRun<'_> {
-    /// Completes the run.
-    pub(crate) fn report(self) -> TimingReport {
-        let config = self.config;
-        let (dom, stats) = self.finish();
-        if obsv::enabled() {
-            obsv::counter_add("timing.analyses", 1);
-            obsv::observe("timing.critical_path", dom.max_level);
-        }
-        TimingReport { config, critical_path: dom.max_level, persist_nodes: dom.nodes, stats }
-    }
-}
-
-/// Reusable working state for analyses run as model lanes of one walk
-/// (see [`ModelLanes`]).
-pub(crate) struct LaneAnalyzer {
-    scratch: engine::Scratch<ModelLanes>,
-}
-
-impl LaneAnalyzer {
-    pub(crate) fn new() -> Self {
-        LaneAnalyzer { scratch: engine::Scratch::new(&ModelLanes::new(&[])) }
-    }
-
-    /// Begins one walk whose lane *k* analyzes `configs[k]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `configs` is empty, holds more than [`MODEL_LANES`]
-    /// configs, or holds two that differ in anything but the model.
-    pub(crate) fn begin(&mut self, configs: &[AnalysisConfig], nthreads: u32) -> LaneRun<'_> {
-        engine::Run::begin_lanes(configs, nthreads, ModelLanes::new(configs), &mut self.scratch)
-    }
-}
-
-/// An in-progress model-lane analysis (see [`LaneAnalyzer::begin`]).
-pub(crate) type LaneRun<'s> = engine::Run<'s, ModelLanes>;
-
-impl LaneRun<'_> {
-    /// Completes the walk: one report per lane, in lane order, each equal
-    /// to [`Analyzer::analyze_source`]'s for its config. Only the critical
-    /// path and the coalescing counts differ between lanes; every other
-    /// statistic is a property of the trace.
+impl<const N: usize> LaneRun<'_, N> {
+    /// Completes the walk: one report per lane in use, in lane order, each
+    /// equal to [`Analyzer::analyze_source`]'s for its config. Only the
+    /// critical path and the coalescing counts differ between lanes; every
+    /// other statistic is a property of the trace.
     pub(crate) fn reports(self) -> Vec<TimingReport> {
         let (dom, stats) = self.finish();
         dom.configs
             .iter()
             .enumerate()
             .map(|(k, &config)| {
+                let critical_path = dom.critical_path(k);
                 let coalesced = dom.coalesced[k];
                 if obsv::enabled() {
                     obsv::counter_add("timing.analyses", 1);
-                    obsv::observe("timing.critical_path", dom.max_level[k]);
+                    obsv::observe("timing.critical_path", critical_path);
                 }
                 TimingReport {
                     config,
-                    critical_path: dom.max_level[k],
+                    critical_path,
                     persist_nodes: stats.persist_ops - coalesced,
                     stats: EngineStats { coalesced, ..stats },
                 }
@@ -810,8 +765,8 @@ mod tests {
         let configs = Model::ALL.map(cfg);
         for lanes in [&configs[..1], &configs[..]] {
             let scalar = Analyzer::new().analyze_source(trace.source(), &lanes[0]).unwrap_err();
-            let mut analyzer = LaneAnalyzer::new();
-            let mut run = analyzer.begin(lanes, trace.thread_count());
+            let mut scratch = Lanes::<MODEL_LANES>::scratch();
+            let mut run = Lanes::begin(lanes, &[], trace.thread_count(), &mut scratch);
             let err = run.push_events(trace.events()).unwrap_err();
             assert_eq!(err.kind(), scalar.kind());
             assert_eq!(err.to_string(), scalar.to_string());

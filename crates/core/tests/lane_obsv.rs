@@ -1,8 +1,10 @@
 //! Observability counters of a model-lane walk keep their per-config
 //! meaning: `analyze_full` over five configs is one engine run over the
-//! trace, and five timing analyses. The run's block-table counters are a
-//! function of the trace alone, whatever the worker count. Alone in its
-//! test binary because the obsv registry is process-global.
+//! trace, and five timing analyses, and its coalesced count is the five
+//! analyses' sum, as five one-model runs would count it. The run's
+//! block-table counters are a function of the trace alone, whatever the
+//! worker count. Alone in its test binary because the obsv registry is
+//! process-global.
 
 use mem_trace::{FreeRunScheduler, TraceBuilder, TracedMem};
 use persist_mem::MemAddr;
@@ -31,6 +33,18 @@ fn five_configs_record_five_analyses_and_one_engine_run() {
     let paths = &snap.histograms["timing.critical_path"];
     assert_eq!(paths.count, 5);
     assert_eq!(paths.sum, reports.iter().map(|r| r.critical_path).sum::<u64>());
+
+    // Coalescing is counted per lane in use: lanes past the configs of a
+    // walk count nothing.
+    for configs in [&configs[..], &configs[1..3]] {
+        obsv::reset();
+        let (_, reports) =
+            partition::analyze_full(&TraceChunks::new(&trace, 32), configs, 1).unwrap();
+        let coalesced: u64 = reports.iter().map(|r| r.stats.coalesced).sum();
+        assert!(coalesced > 0, "{configs:?} coalesce somewhere");
+        let snap = obsv::snapshot();
+        assert_eq!(snap.counters.get("engine.coalesced"), Some(&coalesced), "{configs:?}");
+    }
 
     // The block tables: persistent blocks 0..70 fill two 64-block pages
     // in each table, the volatile store one page of conflict state, and

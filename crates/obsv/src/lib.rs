@@ -569,22 +569,34 @@ mod tests {
         assert_eq!(s.timings["ut_sib.p"].count, 1);
     }
 
+    /// A worker's buffer reaches the registry at thread exit, which
+    /// joining a spawned thread waits for, and a scoped worker's through
+    /// [`spawn_flushed`] (the scope does not wait for thread exit).
     #[test]
     fn worker_threads_merge_on_exit() {
         let _g = locked();
         set_enabled(true);
+        let record = |prefix: &'static str| {
+            move || {
+                counter_add(&format!("{prefix}c"), 10);
+                observe(&format!("{prefix}h"), 64);
+            }
+        };
+        let workers: Vec<_> = (0..4).map(|_| std::thread::spawn(record("ut_thr."))).collect();
+        for w in workers {
+            w.join().unwrap();
+        }
         std::thread::scope(|s| {
             for _ in 0..4 {
-                s.spawn(|| {
-                    counter_add("ut_thr.c", 10);
-                    observe("ut_thr.h", 64);
-                });
+                spawn_flushed(s, record("ut_thr_scoped."));
             }
         });
         set_enabled(false);
-        let s = snapshot().filter_prefix("ut_thr.");
-        assert_eq!(s.counters["ut_thr.c"], 40);
-        assert_eq!(s.histograms["ut_thr.h"].count, 4);
+        for prefix in ["ut_thr.", "ut_thr_scoped."] {
+            let s = snapshot().filter_prefix(prefix);
+            assert_eq!(s.counters[&format!("{prefix}c")], 40, "{prefix}");
+            assert_eq!(s.histograms[&format!("{prefix}h")].count, 4, "{prefix}");
+        }
     }
 
     #[test]
