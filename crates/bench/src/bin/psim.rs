@@ -240,6 +240,15 @@ fn splice_obsv(json: String, prefix: &str) -> String {
     format!("{head},\n  \"obsv\": {block}\n{}", &json[pos..])
 }
 
+/// Under `OBSV`, writes the `capture.*` counters to stderr: the
+/// scheduler's `turns`, `handoffs` (turns granted to another thread) and
+/// `parks`, beside the executor's event counts.
+fn print_capture_obsv() {
+    if obsv::enabled() {
+        eprint!("{}", obsv::snapshot().filter_prefix("capture.").to_json_full());
+    }
+}
+
 fn cmd_capture(args: &Args) -> Result<u64, String> {
     let queue = args.get("--queue").unwrap_or("cwl");
     let threads = args.num("--threads", 1)? as u32;
@@ -280,6 +289,7 @@ fn cmd_capture(args: &Args) -> Result<u64, String> {
             );
             let mut mf = File::create(format!("{out}.meta")).map_err(|e| e.to_string())?;
             mf.write_all(meta.as_bytes()).map_err(|e| e.to_string())?;
+            print_capture_obsv();
             println!(
                 "captured {} events ({} persists, {} inserts + consumer) to {out}",
                 trace.events().len(),
@@ -303,6 +313,7 @@ fn cmd_capture(args: &Args) -> Result<u64, String> {
     );
     let mut mf = File::create(format!("{out}.meta")).map_err(|e| e.to_string())?;
     mf.write_all(meta.as_bytes()).map_err(|e| e.to_string())?;
+    print_capture_obsv();
     println!(
         "captured {} events ({} persists, {} inserts) to {out}",
         trace.events().len(),

@@ -234,7 +234,9 @@ impl<S: Scheduler> TracedMem<S> {
             let handles: Vec<_> = (0..nthreads)
                 .map(|t| {
                     let f = &f;
-                    scope.spawn(move || {
+                    // Flushed, so the scheduler's per-thread `capture.*`
+                    // tallies are in the registry once the scope returns.
+                    obsv::spawn_flushed(scope, move || {
                         let tid = ThreadId(t);
                         let ctx = ThreadCtx {
                             inner,
