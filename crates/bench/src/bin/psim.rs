@@ -359,14 +359,15 @@ fn cmd_analyze(args: &Args) -> Result<u64, String> {
     };
     let configs: Vec<AnalysisConfig> =
         models.iter().map(|&m| config_from(args, m)).collect::<Result<_, _>>()?;
-    let runner = SweepRunner::from_env();
-    let (profile, reports) = TraceInput::open(path)?
-        .with_feed(|feed| partition::analyze_full(feed, &configs, runner.workers()))
-        .map_err(|e| format!("read {path}: {e}"))?;
+    let workers = SweepRunner::from_env().workers();
+    let (decoders, analysis) = TraceInput::open(path)?.with_feed(|feed| {
+        (partition::decode_threads(feed, workers), partition::analyze_full(feed, &configs, workers))
+    });
+    let (profile, reports) = analysis.map_err(|e| format!("read {path}: {e}"))?;
     // The `[timing]` line counts the events each sink walked: the
     // profile and one engine walk per lane group.
     let sinks = partition::analyze_sinks(&configs);
-    let meta = RunMeta::collect(runner.workers(), runner.effective_workers(sinks));
+    let meta = RunMeta::collect(workers, decoders);
     if obsv::enabled() {
         eprint!("{}", obsv::snapshot().filter_prefix("engine.").to_json_full());
     }
@@ -440,9 +441,10 @@ fn cmd_cuts(args: &Args) -> Result<u64, String> {
     // event vector.
     let input = TraceInput::open(path)?;
     let workers = SweepRunner::from_env().workers();
-    let dag = input
-        .with_feed(|feed| partition::build_dag(feed, &cfg, workers))
-        .map_err(|e| e.to_string())?;
+    let (decoders, dag) = input.with_feed(|feed| {
+        (partition::decode_threads(feed, workers), partition::build_dag(feed, &cfg, workers))
+    });
+    let dag = dag.map_err(|e| e.to_string())?;
     let events = input.event_count();
     let obs = RecoveryObserver::new(&dag);
     let cuts = obs.sample_cuts(args.num("--seed", 1)?, samples);
@@ -451,7 +453,7 @@ fn cmd_cuts(args: &Args) -> Result<u64, String> {
     if args.has("--json") {
         println!(
             "{{\n  \"schema\": \"psim_cuts_v1\",\n  \"meta\": {},\n  \"model\": \"{model}\",\n  \"persists\": {},\n  \"states_sampled\": {},\n  \"max_cut\": {max}\n}}",
-            RunMeta::collect(1, 1).to_json_object(),
+            RunMeta::collect(workers, decoders).to_json_object(),
             dag.len(),
             cuts.len()
         );

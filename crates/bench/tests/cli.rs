@@ -233,21 +233,31 @@ fn analyze_granularity_and_single_model_match_checked_in_fixtures() {
     }
 }
 
-/// `psim analyze`'s meta line counts the workers its sinks can use: the
-/// profile and one engine walk for all five models.
+/// `psim analyze`'s and `psim cuts`'s meta lines report the configured
+/// workers and the decode threads that ran: one per worker on a capture
+/// with at least as many segments, one on a single-segment capture.
 #[test]
-fn analyze_meta_counts_its_sinks() {
-    let trace = capture_racing("pinned_meta.trace", 40);
-    let out = psim()
-        .args(["analyze", "--trace", &trace, "--json"])
-        .env("SWEEP_THREADS", "4")
-        .output()
-        .expect("run psim analyze");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let meta = stdout.lines().find(|l| l.starts_with("  \"meta\"")).expect("meta line");
-    assert!(meta.contains("\"workers_configured\": 4"), "{meta}");
-    assert!(meta.contains("\"workers_effective\": 2"), "{meta}");
+fn meta_counts_decode_threads() {
+    let multi = capture_racing("meta_multi.trace", 2000);
+    let map = mem_trace::mmapio::MappedTrace::open(&multi).expect("map capture");
+    assert!(map.segment_count() >= 3, "want 3+ segments, got {}", map.segment_count());
+    let single = capture_racing("meta_single.trace", 40);
+    for (trace, effective) in [(&multi, 3), (&single, 1)] {
+        for cmd in [&["analyze"][..], &["cuts", "--samples", "0"]] {
+            let out = psim()
+                .args(cmd)
+                .args(["--trace", trace, "--json"])
+                .env("SWEEP_THREADS", "3")
+                .output()
+                .expect("run psim");
+            assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let meta = stdout.lines().find(|l| l.starts_with("  \"meta\"")).expect("meta line");
+            assert!(meta.contains("\"workers_configured\": 3"), "{cmd:?} {trace}: {meta}");
+            let want = format!("\"workers_effective\": {effective}");
+            assert!(meta.contains(&want), "{cmd:?} {trace}: {meta}");
+        }
+    }
 }
 
 /// The same capture written as fixed-width MPTRACE1 reproduces the

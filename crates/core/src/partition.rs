@@ -12,23 +12,24 @@
 //! model — each model a lane of the walk, so the default five models make
 //! two sinks; [`build_dag`] drives a single DAG build.
 //!
-//! - With one worker or one chunk (an unindexed file, say) the calling
-//!   thread decodes each chunk and pushes it into every sink in turn; no
-//!   threads are spawned.
+//! - The calling thread is the one consumer. It walks the chunks in
+//!   order and pushes each into every sink in sink order, so every sink
+//!   sees the *exact* sequential event sequence and needs no stitching
+//!   argument.
+//! - With one worker or one chunk (an unindexed file, say) the caller
+//!   also decodes each chunk itself; no thread is spawned.
 //! - Otherwise the trace's segment index (see `docs/mptrace2.md`) lets
-//!   independent decoders start mid-file: workers claim chunks in order
-//!   but decode them *out of order* into a bounded pool of recycled,
-//!   reference-counted event slabs. The first sink runs on the caller and
-//!   every other sink on its own thread, each walking the reassembled
-//!   in-order stream — the *exact* sequential event sequence — so the
-//!   sinks need no change and no stitching argument. A slow chunk never
-//!   stalls the workers behind it: back-pressure comes only from the pool.
+//!   independent decoders start mid-file: decode workers claim chunks in
+//!   order but decode them *out of order* into a bounded pool of recycled
+//!   event slabs, and the caller hands each slab back once every sink has
+//!   it. A slow chunk never stalls the workers behind it: back-pressure
+//!   comes only from the pool.
 //!
 //! No sink is split across chunks: the timing engine's level recurrence
 //! does not compose across cuts (coalescing legality compares absolute
 //! levels), see DESIGN.md §2b. Errors do not depend on the worker count
-//! either: the driver reports the failure at the lowest chunk, ties going
-//! to the earlier sink — the one a sequential pass meets first.
+//! either: one in-order consumer meets them as a sequential pass does — a
+//! decode error at its chunk, sink errors within a chunk in sink order.
 
 use crate::dag::{DagError, PersistDag};
 use crate::domain::Domain;
@@ -41,31 +42,11 @@ use mem_trace::{Event, EventSource, Trace};
 use obsv::{series, tracefmt};
 use std::collections::BTreeMap;
 use std::io;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Timeline track group (`pid`) for the analysis driver: decode workers
 /// and sink lanes. Distinct from the serve harness's per-model pids (1..=5).
 const ANALYZE_PID: u64 = 10;
-
-/// Records one decoded chunk on the analysis timeline/series (wall
-/// clock — the pipeline has no virtual clock). `t0`/`t1` bracket the
-/// decode; `tid` is the worker's timeline lane.
-fn trace_chunk(tid: u64, name: &str, t0: f64, t1: f64, chunk: usize, events: usize) {
-    if tracefmt::recording() {
-        tracefmt::span(
-            ANALYZE_PID,
-            tid,
-            name,
-            t0,
-            t1 - t0,
-            &[("chunk", chunk.to_string()), ("events", events.to_string())],
-        );
-    }
-    if series::active() {
-        series::add("analyze.win.chunks", t1 as u64, 1);
-        series::add("analyze.win.events", t1 as u64, events as u64);
-    }
-}
 
 /// `tracefmt::now_ns` only when some time-resolved sink is live, else
 /// 0.0 (avoids the clock read on untraced hot paths).
@@ -171,9 +152,8 @@ impl<D: Domain> ChunkSink for engine::Run<'_, D> {
     }
 }
 
-/// A sink as [`drive`] takes it: every sink but the first may run on a
-/// thread of its own.
-type Sink<'a> = &'a mut (dyn ChunkSink + Send);
+/// A sink as [`drive`] takes it.
+type Sink<'a> = &'a mut dyn ChunkSink;
 
 /// One shared-decode pass producing the trace profile and one
 /// [`TimingReport`] per config — everything `psim analyze` computes.
@@ -270,354 +250,202 @@ where
     })
 }
 
+/// The decode threads [`drive`] runs for `feed` at `workers`: one per
+/// worker, at most one per chunk, or 1 — the caller itself — when it
+/// decodes inline (one worker or one chunk).
+pub fn decode_threads<F>(feed: &F, workers: usize) -> usize
+where
+    F: ChunkFeed + ?Sized,
+{
+    workers.min(feed.chunk_count()).max(1)
+}
+
 /// Decodes each chunk of `feed` once and pushes it, in stream order, into
-/// every sink, with up to `workers` decode threads.
+/// every sink in turn, with [`decode_threads`] decoders.
 ///
-/// Of several failures it returns the one at the lowest chunk, ties going
-/// to the lower sink index: the error the sequential branch meets first,
-/// whatever `workers` is.
+/// The caller is the one consumer, so the first failure it meets — a
+/// decode error at its chunk, else the first sink failing there — is the
+/// sequential pass's, whatever `workers` is.
 fn drive<F>(feed: &F, workers: usize, sinks: &mut [Sink<'_>]) -> io::Result<()>
 where
     F: ChunkFeed + ?Sized,
 {
-    let n_chunks = feed.chunk_count();
-    if workers <= 1 || n_chunks <= 1 {
-        if tracefmt::recording() {
-            tracefmt::name_process(ANALYZE_PID, "analyze");
-            tracefmt::name_thread(ANALYZE_PID, 0, "sequential");
+    let decoders = decode_threads(feed, workers);
+    if tracefmt::recording() {
+        tracefmt::name_process(ANALYZE_PID, "analyze");
+        for w in 0..decoders {
+            tracefmt::name_thread(ANALYZE_PID, w as u64 + 1, &format!("decode {w}"));
         }
-        let mut buf = Vec::new();
-        for i in 0..n_chunks {
-            buf.clear();
-            let t0 = trace_now();
-            feed.decode_chunk(i, &mut buf)?;
-            for sink in sinks.iter_mut() {
-                sink.push(&buf)?;
-            }
-            // One span per chunk covering the decode and every sink.
-            trace_chunk(0, "chunk", t0, trace_now(), i, buf.len());
+        // Sink lanes sit above the decode lanes so Perfetto groups them
+        // visibly apart.
+        for k in 0..sinks.len() {
+            tracefmt::name_thread(ANALYZE_PID, 100 + k as u64, &format!("sink {k}"));
         }
-        return Ok(());
     }
-    let fd = Feed::new(feed, sinks.len(), workers);
-    let (first, rest) = sinks.split_first_mut().expect("drive needs at least one sink");
-    let results = std::thread::scope(|s| {
-        let fd = &fd;
-        for w in 0..workers.min(n_chunks) {
-            obsv::spawn_flushed(s, move || fd.decode_loop(w));
+    let pool = Pool::new(feed, decoders);
+    std::thread::scope(|s| {
+        if decoders > 1 {
+            for w in 0..decoders {
+                let pool = &pool;
+                obsv::spawn_flushed(s, move || pool.decode_loop(w));
+            }
         }
-        let others: Vec<_> = rest
-            .iter_mut()
-            .enumerate()
-            .map(|(k, sink)| obsv::spawn_flushed(s, move || fd.consume(k + 1, &mut **sink)))
-            .collect();
-        let mut results = vec![fd.consume(0, &mut **first)];
-        results.extend(others.into_iter().map(|h| h.join().expect("sink thread panicked")));
-        results
-    });
-    results
-        .into_iter()
-        .enumerate()
-        .filter_map(|(k, r)| r.err().map(|(chunk, e)| ((chunk, k), e)))
-        .min_by_key(|(at, _)| *at)
-        .map_or(Ok(()), |(_, e)| Err(e))
+        // However the loop below leaves — done, failed or panicking — the
+        // decode workers stop, so the scope can join them.
+        let _stop = StopOnDrop(&pool);
+        for i in 0..feed.chunk_count() {
+            let events = pool.take(i)?;
+            for (k, sink) in sinks.iter_mut().enumerate() {
+                let t0 = trace_now();
+                sink.push(&events)?;
+                if tracefmt::recording() {
+                    let args = [("chunk", i.to_string()), ("events", events.len().to_string())];
+                    let tid = 100 + k as u64;
+                    tracefmt::span(ANALYZE_PID, tid, "push", t0, trace_now() - t0, &args);
+                }
+            }
+            pool.recycle(events);
+        }
+        Ok(())
+    })
 }
 
 /// Extra slab slots beyond the structural minimum (one per decode worker
-/// in flight plus one held per consumer). Bounds resident decoded memory
-/// to `(workers + consumers + WINDOW_SLACK) · chunk_events` events
-/// however unbalanced the consumers are.
+/// in flight plus the one the consumer holds). Bounds resident decoded
+/// memory to `(workers + 1 + WINDOW_SLACK) · chunk_events` events.
 const WINDOW_SLACK: usize = 2;
 
-/// One decoded chunk awaiting consumption.
-struct Slot {
-    data: Arc<Vec<Event>>,
-    /// Active consumers that have not taken this chunk yet.
-    remaining: usize,
-}
+/// The pool's lock is never held across a decode or a push, so no panic
+/// can poison it.
+const POISONED: &str = "slab pool lock poisoned";
 
-struct FeedState {
+#[derive(Default)]
+struct PoolState {
     /// Next chunk index no decode worker has claimed.
     next_claim: usize,
-    /// One past the last chunk any consumer still needs: the chunk count,
-    /// lowered to just past the first failure. No later failure can be
-    /// the one [`drive`] reports, so nothing past it is decoded or taken.
-    end: usize,
-    /// Lowest-index decode failure `(chunk, kind, message)`, returned to
-    /// every consumer that reaches that chunk.
-    decode_error: Option<(usize, io::ErrorKind, String)>,
-    /// Decoded chunks not yet consumed by every active consumer.
-    ready: BTreeMap<usize, Slot>,
-    /// Next chunk each consumer needs (`usize::MAX` = finished).
-    consumer_pos: Vec<usize>,
-    /// Consumers not yet finished.
-    active: usize,
-    /// Recycled event slabs awaiting reuse by a decode worker.
+    /// Set once the consumer is done: workers claim nothing more.
+    stop: bool,
+    /// Decoded chunks (or their decode errors) the consumer has not taken.
+    ready: BTreeMap<usize, io::Result<Vec<Event>>>,
+    /// Recycled event slabs awaiting reuse.
     free: Vec<Vec<Event>>,
-    /// Slabs in flight, ready, or held by consumers — everything claimed
-    /// from the pool and not yet back in `free`.
+    /// Slabs claimed from the pool and not yet back in `free`: in flight,
+    /// ready, or held by the consumer.
     outstanding: usize,
 }
 
-/// Shared decode pool between out-of-order decode workers and in-order
-/// consumers.
+/// The slab pool between out-of-order decode workers and the one
+/// in-order consumer.
 ///
-/// Workers claim chunk indices sequentially but decode and publish them
-/// in whatever order they finish; the only back-pressure is the slab pool
-/// (`pool_cap`), not the consumers' positions. Deadlock-freedom: claims
-/// are sequential, so whenever the slowest consumer needs chunk `f`,
-/// every ready chunk below `f` has already been taken by all active
-/// consumers (they advanced past it) and recycled — hence at most
-/// `consumers` held slabs and `workers` in-flight slabs are outstanding,
-/// and `pool_cap > workers + consumers` leaves a slab free to claim `f`.
-/// Chunks stranded at or past a lowered `end` were claimed after every
-/// chunk below it, so they never hold back a chunk still needed.
-struct Feed<'a, F: ?Sized> {
+/// Workers claim chunk indices in order but decode and publish them in
+/// whatever order they finish; the only back-pressure is the pool
+/// (`cap`), so a slow chunk never stalls the workers behind it.
+/// Deadlock-freedom: while the consumer waits for chunk `f` it holds no
+/// slab, and every chunk below `f` has been taken and recycled. If `f`
+/// is claimed it is in flight and will be published; if not, then —
+/// claims being in order — no later chunk is claimed either, nothing is
+/// outstanding, and `cap > 0` leaves a slab for `f`.
+struct Pool<'a, F: ?Sized> {
     feed: &'a F,
-    pool_cap: usize,
-    state: Mutex<FeedState>,
+    /// Decode threads; 1 means the consumer decodes inline.
+    decoders: usize,
+    cap: usize,
+    state: Mutex<PoolState>,
     cond: Condvar,
 }
 
-impl<'a, F: ChunkFeed + ?Sized> Feed<'a, F> {
-    fn new(feed: &'a F, consumers: usize, workers: usize) -> Self {
-        Feed {
+impl<'a, F: ChunkFeed + ?Sized> Pool<'a, F> {
+    fn new(feed: &'a F, decoders: usize) -> Self {
+        Pool {
             feed,
-            pool_cap: workers + consumers + WINDOW_SLACK,
-            state: Mutex::new(FeedState {
-                next_claim: 0,
-                end: feed.chunk_count(),
-                decode_error: None,
-                ready: BTreeMap::new(),
-                consumer_pos: vec![0; consumers],
-                active: consumers,
-                free: Vec::new(),
-                outstanding: 0,
-            }),
+            decoders,
+            cap: decoders + 1 + WINDOW_SLACK,
+            state: Mutex::new(PoolState::default()),
             cond: Condvar::new(),
         }
     }
 
-    /// Decode-worker loop: claim the next chunk and a recycled slab,
-    /// decode out-of-order, publish. Exits when no consumer needs a later
-    /// chunk or every consumer finished. `worker` only labels this loop's
-    /// timeline lane.
-    fn decode_loop(&self, worker: usize) {
-        let tid = worker as u64 + 1;
+    /// Decodes chunk `i` into `buf` as decoder `w` and records it on the
+    /// timeline and the `analyze.win.*` series (wall clock: the pipeline
+    /// has no virtual clock).
+    fn decode(&self, w: usize, i: usize, buf: &mut Vec<Event>) -> io::Result<()> {
+        buf.clear();
+        let t0 = trace_now();
+        self.feed.decode_chunk(i, buf)?;
+        let t1 = trace_now();
         if tracefmt::recording() {
-            tracefmt::name_process(ANALYZE_PID, "analyze");
-            tracefmt::name_thread(ANALYZE_PID, tid, &format!("decode {worker}"));
+            let args = [("chunk", i.to_string()), ("events", buf.len().to_string())];
+            tracefmt::span(ANALYZE_PID, w as u64 + 1, "decode", t0, t1 - t0, &args);
         }
+        if series::active() {
+            series::add("analyze.win.chunks", t1 as u64, 1);
+            series::add("analyze.win.events", t1 as u64, buf.len() as u64);
+        }
+        Ok(())
+    }
+
+    /// Decode-worker loop: claim the next chunk and a recycled slab,
+    /// decode, publish. Exits once every chunk is claimed or the consumer
+    /// is done.
+    fn decode_loop(&self, w: usize) {
         loop {
             let (i, mut buf) = {
-                let mut st = self.state.lock().unwrap();
+                let mut st = self.state.lock().expect(POISONED);
                 loop {
-                    if st.next_claim >= st.end || st.active == 0 {
+                    if st.stop || st.next_claim == self.feed.chunk_count() {
                         return;
                     }
-                    if st.outstanding < self.pool_cap {
-                        let i = st.next_claim;
+                    if st.outstanding < self.cap {
                         st.next_claim += 1;
                         st.outstanding += 1;
-                        let buf = st.free.pop().unwrap_or_default();
-                        break (i, buf);
+                        break (st.next_claim - 1, st.free.pop().unwrap_or_default());
                     }
-                    st = self.cond.wait(st).unwrap();
+                    st = self.cond.wait(st).expect(POISONED);
                 }
             };
-            buf.clear();
-            let t0 = trace_now();
-            let res = self.feed.decode_chunk(i, &mut buf);
-            if res.is_ok() {
-                trace_chunk(tid, "decode", t0, trace_now(), i, buf.len());
-            }
-            let mut st = self.state.lock().unwrap();
-            match res {
-                Ok(()) if st.active > 0 && i < st.end => {
-                    let remaining = st.active;
-                    st.ready.insert(i, Slot { data: Arc::new(buf), remaining });
-                }
-                Ok(()) => {
-                    // No consumer will take this chunk any more; recycle.
-                    st.outstanding -= 1;
-                    st.free.push(buf);
-                }
-                Err(e) => {
-                    if i < st.end {
-                        st.end = i + 1;
-                        st.decode_error = Some((i, e.kind(), e.to_string()));
-                    }
-                    st.outstanding -= 1;
-                }
-            }
-            drop(st);
-            self.cond.notify_all();
-        }
-    }
-}
-
-/// Consumer-side operations need no decoding, so they stay available on
-/// cursors whose `Drop` cannot name the [`ChunkFeed`] bound.
-impl<F: ?Sized> Feed<'_, F> {
-    /// Sink-thread loop: pushes every chunk, in order, into `sink` as
-    /// consumer `me`. A failure comes back with the chunk it happened at.
-    fn consume(&self, me: usize, sink: &mut dyn ChunkSink) -> Result<(), (usize, io::Error)> {
-        // Sink lanes sit above the decode lanes (tid 100+) so Perfetto
-        // groups them visibly apart.
-        let tid = 100 + me as u64;
-        if tracefmt::recording() {
-            tracefmt::name_thread(ANALYZE_PID, tid, &format!("sink {me}"));
-        }
-        let mut cursor = Cursor::new(self, me);
-        loop {
-            let i = cursor.next_chunk;
-            let events = match cursor.next_chunk_ref() {
-                Ok(Some(events)) => events,
-                Ok(None) => return Ok(()),
-                Err(e) => return Err((i, e)),
-            };
-            let t0 = trace_now();
-            if let Err(e) = sink.push(events) {
-                self.stop_after(i);
-                return Err((i, e));
-            }
-            if tracefmt::recording() {
-                tracefmt::span(
-                    ANALYZE_PID,
-                    tid,
-                    "push",
-                    t0,
-                    trace_now() - t0,
-                    &[("chunk", i.to_string()), ("events", events.len().to_string())],
-                );
-            }
-        }
-    }
-
-    /// Records a sink failure at chunk `i`: consumers still need chunk `i`
-    /// (an earlier sink failing there wins the tie) but nothing after it.
-    fn stop_after(&self, i: usize) {
-        let mut st = self.state.lock().unwrap();
-        st.end = st.end.min(i + 1);
-        drop(st);
-        self.cond.notify_all();
-    }
-
-    /// Blocks until chunk `i` is decoded and takes consumer `me`'s
-    /// reference to it, or returns `None` once no consumer needs chunk
-    /// `i`. The last taker receives the slot's own `Arc`, so the final
-    /// [`release`](Feed::release) can reclaim the slab.
-    fn take(&self, me: usize, i: usize) -> io::Result<Option<Arc<Vec<Event>>>> {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            if i >= st.end {
-                return Ok(None);
-            }
-            if let Some(slot) = st.ready.get_mut(&i) {
-                slot.remaining -= 1;
-                let data = if slot.remaining == 0 {
-                    st.ready.remove(&i).expect("slot present").data
-                } else {
-                    Arc::clone(&slot.data)
-                };
-                st.consumer_pos[me] = i + 1;
-                drop(st);
-                self.cond.notify_all();
-                return Ok(Some(data));
-            }
-            if let Some((at, kind, msg)) = &st.decode_error {
-                if *at == i {
-                    return Err(io::Error::new(*kind, msg.clone()));
-                }
-            }
-            st = self.cond.wait(st).unwrap();
-        }
-    }
-
-    /// Returns a consumer's chunk reference. The last holder recycles the
-    /// slab into the free pool, unblocking decode workers.
-    ///
-    /// The `try_unwrap` runs under the state lock: concurrent releases of
-    /// the same chunk are serialized, so exactly one of them observes a
-    /// unique `Arc` and performs the recycle.
-    fn release(&self, data: Arc<Vec<Event>>) {
-        let mut st = self.state.lock().unwrap();
-        if let Ok(buf) = Arc::try_unwrap(data) {
-            st.outstanding -= 1;
-            st.free.push(buf);
-            drop(st);
+            let chunk = self.decode(w, i, &mut buf).map(|()| buf);
+            self.state.lock().expect(POISONED).ready.insert(i, chunk);
             self.cond.notify_all();
         }
     }
 
-    /// Marks consumer `me` finished, releasing its claim on every chunk it
-    /// has not consumed so the pool keeps draining for the others.
-    fn finish(&self, me: usize) {
-        let mut st = self.state.lock().unwrap();
-        let pos = st.consumer_pos[me];
-        if pos == usize::MAX {
-            return;
+    /// Chunk `i`'s events: decoded inline with one decoder, else waited
+    /// for from the workers. A decode failure comes back at its chunk.
+    fn take(&self, i: usize) -> io::Result<Vec<Event>> {
+        let mut st = self.state.lock().expect(POISONED);
+        if self.decoders == 1 {
+            st.outstanding += 1;
+            let mut buf = st.free.pop().unwrap_or_default();
+            drop(st);
+            self.decode(0, i, &mut buf)?;
+            return Ok(buf);
         }
-        st.consumer_pos[me] = usize::MAX;
-        st.active -= 1;
-        let stale: Vec<usize> =
-            st.ready.range(pos..).map(|(&i, _)| i).collect();
-        for i in stale {
-            let slot = st.ready.get_mut(&i).unwrap();
-            slot.remaining -= 1;
-            if slot.remaining == 0 {
-                let slot = st.ready.remove(&i).expect("slot present");
-                if let Ok(buf) = Arc::try_unwrap(slot.data) {
-                    st.outstanding -= 1;
-                    st.free.push(buf);
-                }
+        loop {
+            if let Some(chunk) = st.ready.remove(&i) {
+                return chunk;
             }
+            st = self.cond.wait(st).expect(POISONED);
         }
+    }
+
+    /// Returns a consumed slab to the pool, unblocking decode workers.
+    fn recycle(&self, buf: Vec<Event>) {
+        let mut st = self.state.lock().expect(POISONED);
+        st.outstanding -= 1;
+        st.free.push(buf);
         drop(st);
         self.cond.notify_all();
     }
 }
 
-/// In-order consumer cursor over a [`Feed`]; holds at most one chunk at a
-/// time, recycling it into the slab pool before taking the next, and
-/// unregisters itself on drop so early exits (errors) cannot stall the
-/// other consumers.
-struct Cursor<'a, 'f, F: ?Sized> {
-    fd: &'a Feed<'f, F>,
-    me: usize,
-    next_chunk: usize,
-    cur: Option<Arc<Vec<Event>>>,
-}
+/// Stops a [`Pool`]'s decode workers when dropped.
+struct StopOnDrop<'p, 'a, F: ?Sized>(&'p Pool<'a, F>);
 
-impl<'a, 'f, F: ?Sized> Cursor<'a, 'f, F> {
-    fn new(fd: &'a Feed<'f, F>, me: usize) -> Self {
-        Cursor { fd, me, next_chunk: 0, cur: None }
-    }
-
-    /// Returns the held chunk (if any) to the slab pool.
-    fn release_cur(&mut self) {
-        if let Some(data) = self.cur.take() {
-            self.fd.release(data);
-        }
-    }
-
-    /// Releases the held chunk and takes the next one as a borrowed slice,
-    /// or `None` past the last chunk any consumer needs.
-    fn next_chunk_ref(&mut self) -> io::Result<Option<&[Event]>> {
-        self.release_cur();
-        let Some(data) = self.fd.take(self.me, self.next_chunk)? else {
-            self.fd.finish(self.me);
-            return Ok(None);
-        };
-        self.next_chunk += 1;
-        Ok(Some(self.cur.insert(data).as_slice()))
-    }
-}
-
-impl<F: ?Sized> Drop for Cursor<'_, '_, F> {
+impl<F: ?Sized> Drop for StopOnDrop<'_, '_, F> {
     fn drop(&mut self) {
-        self.release_cur();
-        self.fd.finish(self.me);
+        // Setting the flag is valid on any state, and a drop must not panic.
+        self.0.state.lock().unwrap_or_else(PoisonError::into_inner).stop = true;
+        self.0.cond.notify_all();
     }
 }
 
@@ -818,6 +646,77 @@ mod tests {
                 let err = drive(&feed, workers, &mut sinks).unwrap_err().to_string();
                 assert!(err.starts_with(want), "{want} vs {err}: workers={workers}");
             }
+        }
+    }
+
+    /// Panics on its push of chunk `at`.
+    struct PanicAt {
+        at: usize,
+        seen: usize,
+    }
+
+    impl ChunkSink for PanicAt {
+        fn push(&mut self, _: &[Event]) -> io::Result<()> {
+            assert_ne!(self.seen, self.at, "sink panicked at chunk {}", self.at);
+            self.seen += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn sink_panic_propagates_and_stops_decoders() {
+        // The drop guard stops the decode workers, so the scope joins them
+        // and the panic reaches the caller instead of a hang.
+        for workers in WORKERS {
+            let panicked = within_deadline(move || {
+                let t = capture(2);
+                let feed = TraceChunks::new(&t, 3);
+                let mut ok = Collect::default();
+                let mut panicking = PanicAt { at: 1, seen: 0 };
+                let mut sinks: [Sink<'_>; 2] = [&mut ok, &mut panicking];
+                let run = std::panic::AssertUnwindSafe(|| drive(&feed, workers, &mut sinks));
+                std::panic::catch_unwind(run).is_err()
+            });
+            assert!(panicked, "workers={workers}");
+        }
+    }
+
+    /// [`TraceChunks`] that counts the chunks it is asked to decode.
+    struct CountingFeed<'a> {
+        inner: TraceChunks<'a>,
+        decoded: std::sync::atomic::AtomicUsize,
+    }
+
+    impl ChunkFeed for CountingFeed<'_> {
+        fn thread_count(&self) -> u32 {
+            self.inner.thread_count()
+        }
+
+        fn chunk_count(&self) -> usize {
+            self.inner.chunk_count()
+        }
+
+        fn decode_chunk(&self, i: usize, out: &mut Vec<Event>) -> io::Result<()> {
+            self.decoded.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.decode_chunk(i, out)
+        }
+    }
+
+    #[test]
+    fn early_sink_failure_stops_decoding_within_the_pool() {
+        for workers in WORKERS {
+            let (chunks, cap, decoded) = within_deadline(move || {
+                let t = capture(2);
+                let feed =
+                    CountingFeed { inner: TraceChunks::new(&t, 3), decoded: Default::default() };
+                let mut failing = FailAt { name: "sink", at: 1, seen: 0 };
+                drive(&feed, workers, &mut [&mut failing as Sink<'_>]).unwrap_err();
+                let cap = decode_threads(&feed, workers) + 1 + WINDOW_SLACK;
+                (feed.chunk_count(), cap, feed.decoded.into_inner())
+            });
+            assert!(chunks >= 90, "{chunks} chunks");
+            // Chunks 0 and 1, plus at most a full pool decoded ahead.
+            assert!(decoded <= 2 + cap, "decoded {decoded} of {chunks} chunks, workers={workers}");
         }
     }
 
