@@ -240,12 +240,14 @@ fn splice_obsv(json: String, prefix: &str) -> String {
     format!("{head},\n  \"obsv\": {block}\n{}", &json[pos..])
 }
 
-/// Under `OBSV`, writes the `capture.*` counters to stderr: the
-/// scheduler's `turns`, `handoffs` (turns granted to another thread) and
-/// `parks`, beside the executor's event counts.
-fn print_capture_obsv() {
+/// Under `OBSV`, writes the metrics named by `prefixes` to stderr as one
+/// JSON object: `capture.*` holds the scheduler's `turns`, `handoffs`
+/// (turns granted to another thread) and `parks` beside the executor's
+/// event counts, `engine.*` the engine's, `dag.*` the persist DAG build's
+/// and `profile.*` the profiler's.
+fn print_obsv(prefixes: &[&str]) {
     if obsv::enabled() {
-        eprint!("{}", obsv::snapshot().filter_prefix("capture.").to_json_full());
+        eprint!("{}", obsv::snapshot().filter_prefixes(prefixes).to_json_full());
     }
 }
 
@@ -289,7 +291,7 @@ fn cmd_capture(args: &Args) -> Result<u64, String> {
             );
             let mut mf = File::create(format!("{out}.meta")).map_err(|e| e.to_string())?;
             mf.write_all(meta.as_bytes()).map_err(|e| e.to_string())?;
-            print_capture_obsv();
+            print_obsv(&["capture."]);
             println!(
                 "captured {} events ({} persists, {} inserts + consumer) to {out}",
                 trace.events().len(),
@@ -313,7 +315,7 @@ fn cmd_capture(args: &Args) -> Result<u64, String> {
     );
     let mut mf = File::create(format!("{out}.meta")).map_err(|e| e.to_string())?;
     mf.write_all(meta.as_bytes()).map_err(|e| e.to_string())?;
-    print_capture_obsv();
+    print_obsv(&["capture."]);
     println!(
         "captured {} events ({} persists, {} inserts) to {out}",
         trace.events().len(),
@@ -368,9 +370,7 @@ fn cmd_analyze(args: &Args) -> Result<u64, String> {
     // profile and one engine walk per lane group.
     let sinks = partition::analyze_sinks(&configs);
     let meta = RunMeta::collect(workers, decoders);
-    if obsv::enabled() {
-        eprint!("{}", obsv::snapshot().filter_prefix("engine.").to_json_full());
-    }
+    print_obsv(&["engine."]);
     if args.has("--json") {
         let mut rows = Vec::new();
         for (model, r) in models.iter().zip(&reports) {
@@ -445,6 +445,7 @@ fn cmd_cuts(args: &Args) -> Result<u64, String> {
         (partition::decode_threads(feed, workers), partition::build_dag(feed, &cfg, workers))
     });
     let dag = dag.map_err(|e| e.to_string())?;
+    print_obsv(&["dag."]);
     let events = input.event_count();
     let obs = RecoveryObserver::new(&dag);
     let cuts = obs.sample_cuts(args.num("--seed", 1)?, samples);
@@ -470,6 +471,7 @@ fn cmd_crash(args: &Args) -> Result<u64, String> {
     let model = parse_model(args.get("--model").unwrap_or("epoch"))?;
     let cfg = config_from(args, model)?;
     let dag = PersistDag::build(&trace, &cfg).map_err(|e| e.to_string())?;
+    print_obsv(&["dag."]);
     let exploration = Exploration::Sampled {
         seed: args.num("--seed", 1)?,
         extensions: args.num("--samples", 200)? as usize,
@@ -639,9 +641,7 @@ fn cmd_profile(args: &Args) -> Result<u64, String> {
     // rules left open.
     let cells = 2 + report.lane_walks;
     let events = trace.events().len() as u64 * cells as u64;
-    if obsv::enabled() {
-        eprint!("{}", obsv::snapshot().filter_prefix("profile.").to_json_full());
-    }
+    print_obsv(&["profile.", "dag."]);
 
     if args.has("--json") {
         let meta = RunMeta::collect(runner.workers(), runner.effective_workers(cells));

@@ -545,6 +545,25 @@ fn analyze_obsv_prints_engine_counters() {
     }
 }
 
+/// Under `OBSV=1`, every command that builds the persist DAG — `profile`,
+/// `cuts` and `crash` — prints the build's `dag.*` counters on stderr.
+#[test]
+fn dag_commands_obsv_print_dag_counters() {
+    let trace = capture_racing("dag_obsv.trace", 16);
+    for args in [
+        vec!["profile", "--trace", &trace, "--json"],
+        vec!["cuts", "--trace", &trace, "--json", "--samples", "0"],
+        vec!["crash", "--trace", &trace, "--json", "--samples", "5"],
+    ] {
+        let out = psim().args(&args).env("OBSV", "1").output().expect("run psim");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {stderr}");
+        for counter in ["\"dag.builds\": 1", "\"dag.nodes\": ", "\"dag.dep_entries\": "] {
+            assert!(stderr.contains(counter), "{args:?}: no {counter} in {stderr}");
+        }
+    }
+}
+
 #[test]
 fn errors_are_reported_cleanly() {
     // Unknown command.

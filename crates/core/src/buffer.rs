@@ -234,8 +234,8 @@ pub fn simulate(
                     }
                     // The persist starts once issued and once its ordering
                     // predecessors have persisted.
-                    let deps_done = dag.nodes()[node as usize]
-                        .deps
+                    let deps_done = dag
+                        .deps(node)
                         .iter()
                         .map(|&d| completion[d as usize])
                         .fold(0.0f64, f64::max);

@@ -590,13 +590,12 @@ mod tests {
         out.push(format!("{scalar:?}"));
         for c in configs {
             let dag = PersistDag::build(trace, c).expect("dag");
-            let nodes: Vec<_> = dag
-                .nodes()
-                .iter()
-                .map(|n| {
+            let nodes: Vec<_> = (0..dag.len() as u32)
+                .zip(dag.nodes())
+                .map(|(id, n)| {
                     let writes: Vec<_> =
                         n.writes.iter().map(|w| (unshift(w.addr, shift), w.len, w.value)).collect();
-                    (n.deps.to_vec(), writes, n.events.to_vec(), n.thread)
+                    (dag.deps(id).to_vec(), writes, n.events.to_vec(), n.thread)
                 })
                 .collect();
             out.push(format!("{nodes:?} {:?} {}", dag.stats(), dag.critical_path()));

@@ -118,10 +118,7 @@ impl<'a> RecoveryObserver<'a> {
                 if cut.binary_search(&id).is_ok() {
                     continue;
                 }
-                let ready = self.dag.nodes()[id as usize]
-                    .deps
-                    .iter()
-                    .all(|d| cut.binary_search(d).is_ok());
+                let ready = self.dag.deps(id).iter().all(|d| cut.binary_search(d).is_ok());
                 if ready {
                     let mut next = cut.clone();
                     let pos = next.binary_search(&id).unwrap_err();
@@ -151,7 +148,7 @@ impl<'a> RecoveryObserver<'a> {
         for _ in 0..extensions {
             // Random linear extension: repeatedly pick a random ready node.
             let mut indeg: Vec<usize> =
-                self.dag.nodes().iter().map(|nd| nd.deps.len()).collect();
+                (0..n as u32).map(|id| self.dag.deps(id).len()).collect();
             let mut succs: Vec<Vec<u32>> = vec![Vec::new(); n];
             for (from, to) in self.dag.edges() {
                 succs[from as usize].push(to);
@@ -297,7 +294,7 @@ mod tests {
         let obs = RecoveryObserver::new(&dag);
         for cut in obs.sample_cuts(3, 20) {
             for &id in cut.nodes() {
-                for &d in &dag.nodes()[id as usize].deps {
+                for &d in dag.deps(id) {
                     assert!(cut.contains(d), "cut not down-closed");
                 }
             }

@@ -354,8 +354,8 @@ fn longest_path(dag: &PersistDag) -> Vec<u32> {
     let mut cur = tip;
     while dag.level(cur) > 1 {
         let want = dag.level(cur) - 1;
-        let next = dag.nodes()[cur as usize]
-            .deps
+        let next = dag
+            .deps(cur)
             .iter()
             .copied()
             .filter(|&d| dag.level(d) == want)

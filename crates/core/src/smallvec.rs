@@ -1,12 +1,15 @@
 //! A small-buffer vector for the DAG engine's per-node storage.
 //!
-//! [`PersistDag`](crate::dag::PersistDag) nodes carry three tiny lists
-//! (dependences, writes, provenance) that are almost always one or two
-//! elements long; storing them as `Vec`s made every node cost three heap
-//! allocations, which dominated DAG construction time. [`SmallVec`] keeps
-//! up to `N` elements inline and spills to a `Vec` only beyond that, while
-//! dereferencing to `&[T]` so existing slice-style consumers (indexing,
-//! `iter`, `len`, equality against `Vec`) keep working unchanged.
+//! [`PersistDag`](crate::dag::PersistDag) nodes carry two tiny lists
+//! (writes, provenance) that are almost always one element long; storing
+//! them as `Vec`s made every node cost two heap allocations. [`SmallVec`]
+//! keeps up to `N` elements inline and spills to a `Vec` only beyond that,
+//! while dereferencing to `&[T]` so existing slice-style consumers
+//! (indexing, `iter`, `len`, equality against `Vec`) keep working
+//! unchanged. Dependences are not among them: a node's list is as long as
+//! its input's frontier (29 entries on a wide epoch), so every list
+//! spilled; they live in one pool the DAG owns, where an epoch's persists
+//! share one run ([`PersistDag::deps`](crate::dag::PersistDag::deps)).
 
 use core::fmt;
 use core::ops::Deref;

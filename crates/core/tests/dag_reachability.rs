@@ -23,7 +23,7 @@ fn oracle_rows(dag: &PersistDag) -> Vec<Vec<u64>> {
     for i in 0..n {
         let (done, rest) = rows.split_at_mut(i);
         let row = &mut rest[0];
-        for &d in dag.nodes()[i].deps.iter() {
+        for &d in dag.deps(i as u32).iter() {
             let d = d as usize;
             row[d / 64] |= 1 << (d % 64);
             for (w, v) in done[d].iter().enumerate() {
@@ -37,8 +37,8 @@ fn oracle_rows(dag: &PersistDag) -> Vec<Vec<u64>> {
 /// Longest path (in nodes) from the oracle closure's edge structure.
 fn oracle_critical_path(dag: &PersistDag) -> u64 {
     let mut len = vec![0u64; dag.len()];
-    for (i, node) in dag.nodes().iter().enumerate() {
-        len[i] = 1 + node.deps.iter().map(|&d| len[d as usize]).max().unwrap_or(0);
+    for i in 0..dag.len() {
+        len[i] = 1 + dag.deps(i as u32).iter().map(|&d| len[d as usize]).max().unwrap_or(0);
     }
     len.iter().copied().max().unwrap_or(0)
 }
@@ -101,8 +101,8 @@ fn levels_bound_ancestry() {
     let trace = random_trace(11, 2, 80);
     for model in Model::ALL {
         let dag = PersistDag::build(&trace, &AnalysisConfig::new(model)).unwrap();
-        for (i, node) in dag.nodes().iter().enumerate() {
-            let expect = 1 + node.deps.iter().map(|&d| dag.level(d)).max().unwrap_or(0);
+        for i in 0..dag.len() {
+            let expect = 1 + dag.deps(i as u32).iter().map(|&d| dag.level(d)).max().unwrap_or(0);
             assert_eq!(dag.level(i as u32), expect, "{model}: level of {i}");
         }
     }

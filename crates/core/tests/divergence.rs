@@ -57,7 +57,7 @@ fn level_check_coalesces_where_exact_dominance_refuses() {
     assert_eq!(dag.len(), 3);
     assert_eq!(dag.critical_path(), 2);
     // The refused node depends on both unordered predecessors.
-    assert_eq!(dag.nodes()[2].deps, vec![0, 1]);
+    assert_eq!(dag.deps(2), vec![0, 1]);
 
     assert!(dag.critical_path() >= rep.critical_path);
 }

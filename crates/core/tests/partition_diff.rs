@@ -71,7 +71,7 @@ fn assert_dag_eq(a: &PersistDag, b: &PersistDag, ctx: &str) {
     assert_eq!(a.critical_path(), b.critical_path(), "{ctx}: critical path");
     assert_eq!(a.stats().coalesced, b.stats().coalesced, "{ctx}: coalesced");
     for (i, (na, nb)) in a.nodes().iter().zip(b.nodes()).enumerate() {
-        assert_eq!(na.deps, nb.deps, "{ctx}: node {i} deps");
+        assert_eq!(a.deps(i as u32), b.deps(i as u32), "{ctx}: node {i} deps");
         assert_eq!(na.writes, nb.writes, "{ctx}: node {i} writes");
         assert_eq!(na.events, nb.events, "{ctx}: node {i} events");
         assert_eq!(na.thread, nb.thread, "{ctx}: node {i} thread");

@@ -60,7 +60,7 @@ fn extracted_path_is_a_real_dag_path() {
                 if i > 0 {
                     let prev = r.path[i - 1].node;
                     assert!(
-                        dag.nodes()[s.node as usize].deps.contains(&prev),
+                        dag.deps(s.node).contains(&prev),
                         "seed {seed} model {model}: step {i} not a DAG edge"
                     );
                 }

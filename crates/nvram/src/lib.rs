@@ -151,8 +151,8 @@ pub fn replay(dag: &PersistDag, cfg: &DeviceConfig) -> ReplayReport {
     let mut stall = 0.0f64;
     let mut makespan = 0.0f64;
     for (i, node) in dag.nodes().iter().enumerate() {
-        let ready = node
-            .deps
+        let ready = dag
+            .deps(i as u32)
             .iter()
             .map(|&d| complete[d as usize])
             .fold(0.0f64, f64::max);

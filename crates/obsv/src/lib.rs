@@ -396,23 +396,30 @@ impl Snapshot {
     /// A snapshot restricted to metrics whose name starts with `prefix`
     /// (test isolation: concurrent tests use disjoint prefixes).
     pub fn filter_prefix(&self, prefix: &str) -> Snapshot {
+        self.filter_prefixes(&[prefix])
+    }
+
+    /// A snapshot restricted to metrics whose name starts with any of
+    /// `prefixes`.
+    pub fn filter_prefixes(&self, prefixes: &[&str]) -> Snapshot {
+        let keep = |k: &String| prefixes.iter().any(|p| k.starts_with(p));
         Snapshot {
             counters: self
                 .counters
                 .iter()
-                .filter(|(k, _)| k.starts_with(prefix))
+                .filter(|(k, _)| keep(k))
                 .map(|(k, &v)| (k.clone(), v))
                 .collect(),
             histograms: self
                 .histograms
                 .iter()
-                .filter(|(k, _)| k.starts_with(prefix))
+                .filter(|(k, _)| keep(k))
                 .map(|(k, h)| (k.clone(), h.clone()))
                 .collect(),
             timings: self
                 .timings
                 .iter()
-                .filter(|(k, _)| k.starts_with(prefix))
+                .filter(|(k, _)| keep(k))
                 .map(|(k, &v)| (k.clone(), v))
                 .collect(),
         }

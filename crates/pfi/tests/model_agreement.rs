@@ -145,7 +145,7 @@ impl<'a> Layers<'a> {
         // Dependences point to earlier nodes, so one backward pass closes.
         for id in (0..kept.len()).rev() {
             if kept[id] {
-                for &d in self.dag.nodes()[id].deps.iter() {
+                for &d in self.dag.deps(id as u32).iter() {
                     kept[d as usize] = true;
                 }
             }

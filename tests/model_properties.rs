@@ -135,8 +135,8 @@ proptest! {
         for model in [Model::Strict, Model::Epoch, Model::Strand] {
             let dag = PersistDag::build(&trace, &AnalysisConfig::new(model)).unwrap();
             // Acyclic by construction: deps always point to earlier ids.
-            for (i, node) in dag.nodes().iter().enumerate() {
-                for &d in &node.deps {
+            for i in 0..dag.len() {
+                for &d in dag.deps(i as u32) {
                     prop_assert!((d as usize) < i, "forward edge in DAG");
                 }
             }
@@ -144,7 +144,7 @@ proptest! {
             prop_assert!(obs.full_image_matches(&trace), "full cut mismatch under {model}");
             for cut in obs.sample_cuts(1, 5) {
                 for &id in cut.nodes() {
-                    for &d in &dag.nodes()[id as usize].deps {
+                    for &d in dag.deps(id) {
                         prop_assert!(cut.contains(d), "cut not down-closed");
                     }
                 }
