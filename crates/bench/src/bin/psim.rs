@@ -620,7 +620,7 @@ fn cmd_crash_fuzz(args: &Args) -> Result<u64, String> {
     if failing > 0 {
         return Err(format!("crash-fuzz found failures in {failing} cell(s)"));
     }
-    Ok(reports.iter().map(|r| r.events as u64).sum())
+    Ok(reports.iter().map(|r| r.injections).sum())
 }
 
 fn cmd_profile(args: &Args) -> Result<u64, String> {
@@ -798,6 +798,12 @@ fn main() -> ExitCode {
         other => Err(format!("unknown command {other}\n{}", usage())),
     };
     match result {
+        // crash-fuzz counts the injections it ran; every other command the
+        // trace events it pushed through the engines.
+        Ok(injections) if cmd == "crash-fuzz" => {
+            timer.finish_counting(injections, "injections");
+            ExitCode::SUCCESS
+        }
         Ok(events) => {
             timer.finish(events);
             ExitCode::SUCCESS

@@ -118,18 +118,25 @@ impl SelfTimer {
     /// number of trace events the experiment pushed through the analysis
     /// engines.
     pub fn finish(self, events: u64) {
+        self.finish_counting(events, "events");
+    }
+
+    /// [`SelfTimer::finish`] for work counted in another `unit` (say,
+    /// `injections`): the counter is `sweep.{label}.{unit}` and the line
+    /// reads `N unit in S s (R unit/s, W workers)`.
+    pub fn finish_counting(self, count: u64, unit: &str) {
         let dur = self.start.elapsed();
         if obsv::enabled() {
             obsv::record_duration(&format!("sweep.{}", self.label), dur);
-            obsv::counter_add(&format!("sweep.{}.events", self.label), events);
+            obsv::counter_add(&format!("sweep.{}.{unit}", self.label), count);
         }
         let secs = dur.as_secs_f64();
-        let rate = if secs > 0.0 { events as f64 / secs } else { f64::INFINITY };
+        let rate = if secs > 0.0 { count as f64 / secs } else { f64::INFINITY };
         let _ = writeln!(
             std::io::stderr(),
-            "[timing] {}: {} events in {:.3} s ({:.0} events/s, {} workers)",
+            "[timing] {}: {} {unit} in {:.3} s ({:.0} {unit}/s, {} workers)",
             self.label,
-            events,
+            count,
             secs,
             rate,
             self.workers

@@ -498,6 +498,31 @@ fn profile_timing_counts_only_walked_what_ifs() {
     assert!(timed("epoch") > 2 * events);
 }
 
+/// `psim crash-fuzz`'s `[timing]` line counts the injections that ran
+/// (cells × `--injections`) and names them, so it moves with
+/// `--injections` and reads 0 when none run.
+#[test]
+fn crash_fuzz_timing_counts_injections() {
+    let timed = |injections: &str| -> u64 {
+        let out = psim()
+            .args(["crash-fuzz", "--structure", "cwl", "--model", "all", "--ops", "8"])
+            .args(["--injections", injections, "--seed", "7"])
+            .output()
+            .expect("run psim crash-fuzz");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{stderr}");
+        let line = stderr
+            .lines()
+            .find(|l| l.starts_with("[timing] psim crash-fuzz:"))
+            .unwrap_or_else(|| panic!("no timing line in {stderr}"));
+        let words: Vec<&str> = line.split_whitespace().collect();
+        assert_eq!((words[4], words[9]), ("injections", "injections/s,"), "{line}");
+        words[3].parse().expect("injection count")
+    };
+    assert_eq!(timed("0"), 0);
+    assert_eq!(timed("40"), 5 * 40);
+}
+
 /// `psim analyze`'s `[timing]` line counts the two walks that run: the
 /// profile and one engine walk carrying every model as a lane, in the
 /// table and the JSON report alike.

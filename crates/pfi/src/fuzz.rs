@@ -10,8 +10,15 @@
 //! cell can be sharded across workers at any boundary — see
 //! [`CellPlan::run_shard`] and [`CellPlan::merge`] — and the merged report
 //! is byte-identical for any worker count or shard split. [`run_cell`]
-//! is the single-shard convenience wrapper. The first failure in a cell
-//! (lowest injection index across shards) is shrunk to the earliest crash
+//! is the single-shard convenience wrapper.
+//!
+//! A shard visits its injections in crash-point order, not index order: a
+//! counting sort over the recording's crash points, index order within a
+//! point. The replayer keeps one point's durable lines between loads, so
+//! all injections at a point after the first only swap the survivors and
+//! recovery writes. Failure and leg counts are sums and do not see the
+//! order. The first failure in a cell (lowest injection index across
+//! shards) is shrunk once, after the shard's sweep, to the earliest crash
 //! point and smallest dropped set that still fail; later failures are
 //! only counted.
 //!
@@ -217,7 +224,8 @@ fn script_mutates(image: &MemoryImage, script: &[RecoveryStep]) -> bool {
 /// success returns the recovery script; when `scratch` is provided and the
 /// script actually mutates the image, the pre-recovery image (the inputs a
 /// second crash needs) is copied into it — allocation-free after the first
-/// use — and the returned flag is set. The replayer is always left reset.
+/// use — and the returned flag is set. The replayer keeps the injection's
+/// image until its next load.
 fn eval_first(
     target: &dyn FuzzTarget,
     replayer: &mut Replayer<'_>,
@@ -225,13 +233,9 @@ fn eval_first(
     scratch: Option<&mut MemoryImage>,
 ) -> Result<(bool, Vec<RecoveryStep>), String> {
     replayer.load(case);
-    let script = match target.recovery_script(replayer.image()) {
-        Ok(s) => s,
-        Err(e) => {
-            replayer.reset();
-            return Err(format!("recovery rejected the image: {e}"));
-        }
-    };
+    let script = target
+        .recovery_script(replayer.image())
+        .map_err(|e| format!("recovery rejected the image: {e}"))?;
     let mut took_image = false;
     if let Some(scratch) = scratch {
         if script_mutates(replayer.image(), &script) {
@@ -241,9 +245,7 @@ fn eval_first(
     }
     let (completed, begun) = replayer.ops_at(case.point);
     replayer.apply_recovery(&script);
-    let res = target.check(replayer.image(), completed, begun);
-    replayer.reset();
-    res?;
+    target.check(replayer.image(), completed, begun)?;
     Ok((took_image, script))
 }
 
@@ -284,13 +286,43 @@ pub struct ShardReport {
     pub recovery_crashes: u64,
     /// Injections whose recovery or check failed.
     pub failures: u64,
-    /// The shard's earliest failure, shrunk.
+    /// The shard's failure with the lowest injection index, shrunk.
     pub first_failure: Option<FailureReport>,
+}
+
+/// How one injection ended. The failing variants carry what shrinking the
+/// failure needs.
+enum Injected {
+    /// Recovery and the check passed; no second crash was injected.
+    Passed,
+    /// Recovery wrote, and a second crash injected into it passed.
+    Leg,
+    /// The first crash's recovery or check failed.
+    Failed(CrashCase),
+    /// The second crash, `case2` in the recovery stream `frags2`, failed.
+    LegFailed { case: CrashCase, frags2: FragmentSet, case2: CrashCase },
+}
+
+/// A shard's reusable injection state: the delta replayer plus the
+/// multi-crash leg's scratch (`clone_from` keeps the allocations) — the
+/// pre-recovery image, the recovery event stream and the second-crash
+/// materialization target.
+struct ShardState<'p> {
+    replayer: Replayer<'p>,
+    scratch: MemoryImage,
+    leg_events: Vec<ShadowEvent>,
+    leg_image: MemoryImage,
 }
 
 /// Timeline track group (`pid`) for the crash-fuzz matrix; one lane per
 /// (structure × model) cell.
 const PFI_PID: u64 = 20;
+
+/// Most injections a shard sorts by crash point at once: bounds the sort's
+/// memory (4 bytes of offset and 4 of point per injection) for any shard
+/// length, while holding far more injections than a recording has crash
+/// points.
+const ORDER_WINDOW: u64 = 1 << 20;
 
 /// Injections accumulated per series point: the injections/sec series
 /// needs window-level resolution, not per-injection points, so the
@@ -422,115 +454,163 @@ impl CellPlan {
     /// independent of how the full range is partitioned. (The optional
     /// time-resolved layer — injections/sec series and shrink instants —
     /// runs on the wall clock and is exempt from that determinism.)
+    ///
+    /// Injections are visited in crash-point order (index order within a
+    /// point), so consecutive loads at one point reuse the replayer's
+    /// durable lines; each still draws from its own RNG stream. Tallies
+    /// are sums and do not depend on the order. The first failure is the
+    /// lowest failing index, shrunk once after the sweep by re-running it.
     pub fn run_shard(&self, lo: u64, hi: u64) -> ShardReport {
-        let target = self.target.as_ref();
-        let model = self.cell.model;
-        let cfg = &self.cfg;
+        let hi = hi.min(self.cfg.injections);
+        let lo = lo.min(hi);
         let points = self.rec.events.len() as u64 + 1;
         let mut tel = CellTelemetry::new(self.cell);
-        let mut replayer = Replayer::new(&self.frags, &self.rec, model);
-        // Multi-crash-leg scratch, reused across the whole shard
-        // (clone_from keeps the allocations): the pre-recovery image, the
-        // recovery event stream, and the second-crash materialization
-        // target.
-        let mut scratch = MemoryImage::new();
-        let mut leg_events: Vec<ShadowEvent> = Vec::new();
-        let mut leg_image = MemoryImage::new();
+        let mut st = ShardState {
+            replayer: Replayer::new(&self.frags, &self.rec, self.cell.model),
+            scratch: MemoryImage::new(),
+            leg_events: Vec::new(),
+            leg_image: MemoryImage::new(),
+        };
 
         let mut failures = 0u64;
         let mut recovery_crashes = 0u64;
-        let mut first_failure: Option<FailureReport> = None;
-
-        for i in lo..hi.min(cfg.injections) {
-            let mut rng = SmallRng::seed_from_u64(injection_seed(self.seed, i));
-            // Even injections sweep crash points systematically; odd ones
-            // are random, as are all survivor draws.
-            let point = if i % 2 == 0 {
-                ((i / 2) % points) as usize
-            } else {
-                rng.gen_below(points) as usize
-            };
-            let case = self.frags.draw(model, point, &mut rng, cfg.torn);
-
-            let scratch_for = cfg.multi_crash.then_some(&mut scratch);
-            match eval_first(target, &mut replayer, &case, scratch_for) {
-                Err(_) => {
-                    failures += 1;
-                    if first_failure.is_none() {
-                        let shrunk = self.frags.shrink(model, &case, |c| {
-                            eval_first(target, &mut replayer, c, None).is_err()
-                        });
-                        let message = eval_first(target, &mut replayer, &shrunk, None)
-                            .expect_err("shrunk case still fails");
-                        first_failure = Some(FailureReport {
-                            injection: i,
-                            crash_point: shrunk.point,
-                            second_crash_point: None,
-                            during_recovery: false,
-                            dropped_lines: self.frags.dropped_lines(model, &shrunk),
-                            message,
-                        });
-                        tel.shrunk(first_failure.as_ref().expect("just set"));
-                    }
-                }
-                Ok((true, script)) => {
+        let mut lowest_failure: Option<u64> = None;
+        let mut order = Vec::new();
+        for wlo in (lo..hi).step_by(ORDER_WINDOW as usize) {
+            let whi = hi.min(wlo + ORDER_WINDOW);
+            self.point_order(wlo, whi, points, &mut order);
+            for &k in &order {
+                let i = wlo + u64::from(k);
+                let injected = self.inject(i, points, &mut st);
+                if matches!(injected, Injected::Leg | Injected::LegFailed { .. }) {
                     recovery_crashes += 1;
-                    let img = &scratch;
-                    recovery_events(&script, &mut leg_events);
-                    let frags2 =
-                        FragmentSet::from_events(&leg_events, AtomicPersistSize::default());
-                    let (completed, begun) = replayer.ops_at(case.point);
-                    let p2 = rng.gen_below(leg_events.len() as u64 + 1) as usize;
-                    let case2 = frags2.draw(model, p2, &mut rng, cfg.torn);
-                    let img2 = &mut leg_image;
-                    if eval_second(target, &frags2, img, img2, model, &case2, completed, begun)
-                        .is_err()
-                    {
-                        failures += 1;
-                        if first_failure.is_none() {
-                            // Shrink the recovery crash with the first crash
-                            // fixed.
-                            let shrunk2 = frags2.shrink(model, &case2, |c2| {
-                                eval_second(
-                                    target, &frags2, img, img2, model, c2, completed, begun,
-                                )
-                                .is_err()
-                            });
-                            let message = eval_second(
-                                target, &frags2, img, img2, model, &shrunk2, completed, begun,
-                            )
-                            .expect_err("shrunk recovery crash still fails");
-                            first_failure = Some(FailureReport {
-                                injection: i,
-                                crash_point: case.point,
-                                second_crash_point: Some(shrunk2.point),
-                                during_recovery: true,
-                                dropped_lines: frags2.dropped_lines(model, &shrunk2),
-                                message,
-                            });
-                            tel.shrunk(first_failure.as_ref().expect("just set"));
-                        }
-                    }
                 }
-                Ok((false, _)) => {}
+                if matches!(injected, Injected::Failed(_) | Injected::LegFailed { .. }) {
+                    failures += 1;
+                    lowest_failure = Some(lowest_failure.map_or(i, |j| j.min(i)));
+                }
+                tel.injected();
             }
-            tel.injected();
         }
         tel.spill();
+        let first_failure = lowest_failure.map(|i| {
+            let f = self.shrink(i, points, &mut st);
+            tel.shrunk(&f);
+            f
+        });
 
         if obsv::enabled() {
             // Shard totals sum to the same cell totals for any sharding, so
             // these counters are worker-count independent; per-shard
             // distributions would not be, and are deliberately not recorded.
-            obsv::counter_add("pfi.injections", hi.min(cfg.injections).saturating_sub(lo));
+            obsv::counter_add("pfi.injections", hi - lo);
             obsv::counter_add("pfi.failures", failures);
             obsv::counter_add("pfi.recovery_crashes", recovery_crashes);
         }
-        ShardReport {
-            injections: hi.min(cfg.injections).saturating_sub(lo),
-            recovery_crashes,
-            failures,
-            first_failure,
+        ShardReport { injections: hi - lo, recovery_crashes, failures, first_failure }
+    }
+
+    /// Injection `i`'s crash point, and its private RNG positioned for the
+    /// survivor draw. Even injections sweep crash points systematically;
+    /// odd ones are random, as are all survivor draws.
+    fn crash_point(&self, i: u64, points: u64) -> (usize, SmallRng) {
+        let mut rng = SmallRng::seed_from_u64(injection_seed(self.seed, i));
+        let point = if i.is_multiple_of(2) { (i / 2) % points } else { rng.gen_below(points) };
+        (point as usize, rng)
+    }
+
+    /// Fills `order` with the offsets from `lo` of injections `lo..hi`,
+    /// sorted by crash point and by index within a point: a stable
+    /// counting sort over `0..points`.
+    fn point_order(&self, lo: u64, hi: u64, points: u64, order: &mut Vec<u32>) {
+        let at: Vec<u32> = (lo..hi).map(|i| self.crash_point(i, points).0 as u32).collect();
+        let mut next = vec![0u32; points as usize + 1];
+        for &p in &at {
+            next[p as usize + 1] += 1;
+        }
+        for p in 1..next.len() {
+            next[p] += next[p - 1];
+        }
+        order.clear();
+        order.resize(at.len(), 0);
+        for (k, &p) in at.iter().enumerate() {
+            order[next[p as usize] as usize] = k as u32;
+            next[p as usize] += 1;
+        }
+    }
+
+    /// Runs injection `i`: the first crash, its recovery and check, and
+    /// for a write-ful recovery a second crash injected into it.
+    fn inject(&self, i: u64, points: u64, st: &mut ShardState<'_>) -> Injected {
+        let target = self.target.as_ref();
+        let model = self.cell.model;
+        let torn = self.cfg.torn;
+        let (point, mut rng) = self.crash_point(i, points);
+        let case = self.frags.draw(model, point, &mut rng, torn);
+        let scratch_for = self.cfg.multi_crash.then_some(&mut st.scratch);
+        match eval_first(target, &mut st.replayer, &case, scratch_for) {
+            Err(_) => Injected::Failed(case),
+            Ok((false, _)) => Injected::Passed,
+            Ok((true, script)) => {
+                recovery_events(&script, &mut st.leg_events);
+                let frags2 = FragmentSet::from_events(&st.leg_events, AtomicPersistSize::default());
+                let (completed, begun) = st.replayer.ops_at(case.point);
+                let p2 = rng.gen_below(st.leg_events.len() as u64 + 1) as usize;
+                let case2 = frags2.draw(model, p2, &mut rng, torn);
+                let (img, img2) = (&st.scratch, &mut st.leg_image);
+                match eval_second(target, &frags2, img, img2, model, &case2, completed, begun) {
+                    Ok(()) => Injected::Leg,
+                    Err(_) => Injected::LegFailed { case, frags2, case2 },
+                }
+            }
+        }
+    }
+
+    /// Re-runs failing injection `i` and shrinks its failure: a first-crash
+    /// failure to the earliest crash point and smallest dropped set that
+    /// still fail, a recovery-crash failure likewise with the first crash
+    /// fixed.
+    fn shrink(&self, i: u64, points: u64, st: &mut ShardState<'_>) -> FailureReport {
+        let target = self.target.as_ref();
+        let model = self.cell.model;
+        match self.inject(i, points, st) {
+            Injected::Failed(case) => {
+                let replayer = &mut st.replayer;
+                let shrunk = self
+                    .frags
+                    .shrink(model, &case, |c| eval_first(target, replayer, c, None).is_err());
+                let message = eval_first(target, replayer, &shrunk, None)
+                    .expect_err("shrunk case still fails");
+                FailureReport {
+                    injection: i,
+                    crash_point: shrunk.point,
+                    second_crash_point: None,
+                    during_recovery: false,
+                    dropped_lines: self.frags.dropped_lines(model, &shrunk),
+                    message,
+                }
+            }
+            Injected::LegFailed { case, frags2, case2 } => {
+                let (completed, begun) = st.replayer.ops_at(case.point);
+                let (img, img2) = (&st.scratch, &mut st.leg_image);
+                let shrunk2 = frags2.shrink(model, &case2, |c2| {
+                    eval_second(target, &frags2, img, img2, model, c2, completed, begun).is_err()
+                });
+                let message =
+                    eval_second(target, &frags2, img, img2, model, &shrunk2, completed, begun)
+                        .expect_err("shrunk recovery crash still fails");
+                FailureReport {
+                    injection: i,
+                    crash_point: case.point,
+                    second_crash_point: Some(shrunk2.point),
+                    during_recovery: true,
+                    dropped_lines: frags2.dropped_lines(model, &shrunk2),
+                    message,
+                }
+            }
+            Injected::Passed | Injected::Leg => {
+                unreachable!("injection {i} failed in the sweep and passed when re-run")
+            }
         }
     }
 
@@ -635,16 +715,33 @@ mod tests {
         let cfg = FuzzConfig { ops: 8, injections: 90, torn: true, ..FuzzConfig::default() };
         // A passing and a failing cell, so merge covers both paths.
         for structure in [Structure::Txn, Structure::CwlElided] {
-            let cell = FuzzCell { structure, model: Model::Epoch };
-            let plan = CellPlan::new(&cfg, cell);
-            let serial = plan.merge(&[plan.run_shard(0, plan.injections())]);
-            for shards in [2u64, 7] {
-                let parts: Vec<ShardReport> = shard_ranges(plan.injections(), shards)
-                    .into_iter()
-                    .map(|(lo, hi)| plan.run_shard(lo, hi))
-                    .collect();
-                assert_eq!(plan.merge(&parts), serial, "{structure:?} x{shards}");
+            for model in Model::ALL {
+                let plan = CellPlan::new(&cfg, FuzzCell { structure, model });
+                let serial = plan.merge(&[plan.run_shard(0, plan.injections())]);
+                for shards in [2u64, 3, 7] {
+                    let parts: Vec<ShardReport> = shard_ranges(plan.injections(), shards)
+                        .into_iter()
+                        .map(|(lo, hi)| plan.run_shard(lo, hi))
+                        .collect();
+                    assert_eq!(plan.merge(&parts), serial, "{structure:?} {model} x{shards}");
+                }
             }
+        }
+    }
+
+    #[test]
+    fn first_failure_is_the_lowest_failing_index() {
+        // A shard visits injections in crash-point order; its reported
+        // failure must still be the lowest failing index, as in a serial
+        // index-order run.
+        let cfg = FuzzConfig { ops: 8, injections: 160, torn: true, ..FuzzConfig::default() };
+        for model in [Model::StrictRmo, Model::Epoch, Model::Bpfs, Model::Strand] {
+            let plan = CellPlan::new(&cfg, FuzzCell { structure: Structure::CwlElided, model });
+            let lowest = (0..plan.injections())
+                .find(|&i| plan.run_shard(i, i + 1).failures > 0)
+                .unwrap_or_else(|| panic!("cwl-elided under {model} must fail"));
+            let first = plan.run_shard(0, plan.injections()).first_failure.expect("failure");
+            assert_eq!(first.injection, lowest, "{model}");
         }
     }
 

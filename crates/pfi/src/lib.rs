@@ -19,10 +19,12 @@
 //! - [`inject`] — fragments, per-model durability/drop rules, crash-case
 //!   sampling, legality, materialization and shrinking;
 //! - [`replay`] — the delta replayer: checkpoint-ladder materialization
-//!   in O(touched lines) per injection over a pooled scratch image;
+//!   over a pooled scratch image, O(touched lines) per new crash point and
+//!   O(survivors + recovery writes) per further injection at that point;
 //! - [`targets`] — the fuzz targets (queues, KV store, transaction log),
 //!   including the deliberately broken barrier-elided queue;
-//! - [`fuzz`] — the per-cell (structure × model) fuzz loop;
+//! - [`fuzz`] — the per-cell (structure × model) fuzz loop, which visits
+//!   each shard's injections in crash-point order;
 //! - [`report`] — JSON rendering of fuzz results.
 
 #![warn(missing_docs)]

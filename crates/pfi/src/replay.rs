@@ -18,16 +18,29 @@
 //!   crash point are exactly a prefix of its ladder, and the durable line
 //!   content is a single O(line) snapshot copy;
 //! - one scratch [`MemoryImage`] (a clone of the recording's base) is
-//!   reused across injections as a copy-on-write overlay: materializing
-//!   writes only the lines the crash touches and logs an undo region per
-//!   write, and [`Replayer::reset`] restores those regions from the base
-//!   and truncates the image back to the base extent.
+//!   reused across injections in two layers over the base:
+//!   - the *durable lines* of one crash point: the ladder snapshot of
+//!     every line touched by then. They depend on the point alone, so the
+//!     replayer remembers which point they belong to;
+//!   - the *overlay*: surviving pending units and recovery writes, each
+//!     journaled with the bytes it replaced.
+//!
+//! [`Replayer::load`] at the point the durable lines already belong to
+//! only swaps the overlay: it writes the journaled bytes back, newest
+//! first, truncates the image to the extent it had once the durable lines
+//! were written, and applies the new survivors. A load at any other point
+//! first [`Replayer::reset`]s: every region written since the last reset
+//! is restored from the base and the image is truncated to the base
+//! extent, so `reset` always leaves `image == base`. The fuzz loop visits
+//! a shard's injections in crash-point order (see `fuzz::CellPlan::run_shard`),
+//! so nearly every load takes the overlay-only path.
 //!
 //! The result is byte-identical to clone-and-replay — same bytes *and*
 //! same extents, so images compare equal — at O(touched lines) per
-//! injection instead of O(image + fragments). The differential tests in
-//! `tests/delta_replay.rs` check this against the oracle for every model,
-//! torn persists included.
+//! point change and O(overlay) per load at the same point, instead of
+//! O(image + fragments). The differential tests in `tests/delta_replay.rs`
+//! check this against the oracle for every model, torn persists included,
+//! over back-to-back loads at repeated, rising and falling points.
 
 use crate::inject::{CrashCase, FragmentSet};
 use crate::shadow::{Recording, ShadowEvent};
@@ -55,7 +68,8 @@ struct LineLadder {
 /// Reusable delta-replay state for one `(recording, model)` pair.
 ///
 /// Build once, then per injection: [`Replayer::load`], read the image,
-/// optionally [`Replayer::apply_recovery`], then [`Replayer::reset`].
+/// optionally [`Replayer::apply_recovery`]. The next `load` replaces the
+/// injection's image; [`Replayer::reset`] returns it to the base.
 #[derive(Debug)]
 pub struct Replayer<'a> {
     frags: &'a FragmentSet,
@@ -67,10 +81,19 @@ pub struct Replayer<'a> {
     /// `(completed, begun)` operation counts before each event index.
     ops_prefix: Vec<(u64, u64)>,
     image: MemoryImage,
-    /// Regions written since the last reset, restored from `base`.
-    undo: Vec<(MemAddr, u32)>,
+    /// The crash point whose durable lines the image holds; `None` while
+    /// the image holds none (after a reset).
+    durable_point: Option<u32>,
+    /// Regions the durable lines were written to, restored from `base`.
+    durable: Vec<(MemAddr, u32)>,
+    /// Image extents once the durable lines were written.
+    durable_extent: (u64, u64),
+    /// Overlay writes (survivors, recovery) since the durable lines, in
+    /// write order.
+    overlay: Vec<(MemAddr, u32)>,
+    /// The bytes each overlay write replaced, concatenated in write order.
+    journal: Vec<u8>,
     base_extent: (u64, u64),
-    dirty: bool,
 }
 
 impl<'a> Replayer<'a> {
@@ -133,9 +156,12 @@ impl<'a> Replayer<'a> {
             by_first_q,
             ops_prefix,
             image: rec.base.clone(),
-            undo: Vec::new(),
+            durable_point: None,
+            durable: Vec::new(),
+            durable_extent: base_extent,
+            overlay: Vec::new(),
+            journal: Vec::new(),
             base_extent,
-            dirty: false,
         }
     }
 
@@ -152,14 +178,39 @@ impl<'a> Replayer<'a> {
 
     /// Materializes `case` into the scratch image: the durable snapshot of
     /// every touched line plus the surviving units. Byte-identical to
-    /// [`FragmentSet::materialize`] over the same base.
+    /// [`FragmentSet::materialize`] over the same base. At the point the
+    /// image's durable lines belong to, only the overlay is replaced.
     pub fn load(&mut self, case: &CrashCase) {
-        if self.dirty {
-            self.reset();
-        }
-        self.dirty = true;
-        let line_sz = CACHE_LINE_BYTES as usize;
         let p = case.point as u32;
+        if self.durable_point == Some(p) {
+            self.drop_overlay();
+        } else {
+            self.reset();
+            self.load_durable(p);
+        }
+        // Survivors are sorted by fragment index, and within a line every
+        // pending fragment follows every durable one, so applying them
+        // after the ladder writes reproduces store order exactly.
+        let frags = self.frags;
+        let unit_sz = frags.unit();
+        let unit = unit_sz as usize;
+        for s in &case.survivors {
+            let f = &frags.fragments()[s.frag];
+            for u in 0..f.units(unit_sz) {
+                if s.unit_mask & (1 << u) == 0 {
+                    continue;
+                }
+                let lo = u as usize * unit;
+                let hi = (lo + unit).min(f.data.len());
+                self.overlay_write(f.addr.add(lo as u64), &f.data[lo..hi]);
+            }
+        }
+    }
+
+    /// Writes the ladder snapshot of every line durable-touched at `p`
+    /// over a reset image.
+    fn load_durable(&mut self, p: u32) {
+        let line_sz = CACHE_LINE_BYTES as usize;
         let n = self.by_first_q.partition_point(|&(q, _)| q <= p);
         for &(_, li) in &self.by_first_q[..n] {
             let lad = &self.lines[li as usize];
@@ -169,35 +220,43 @@ impl<'a> Replayer<'a> {
             self.image
                 .write(addr, &lad.snap[(k - 1) * line_sz..(k - 1) * line_sz + hi])
                 .expect("ladder line in range");
-            self.undo.push((addr, hi as u32));
+            self.durable.push((addr, hi as u32));
         }
-        // Survivors are sorted by fragment index, and within a line every
-        // pending fragment follows every durable one, so applying them
-        // after the ladder writes reproduces store order exactly.
-        let unit_sz = self.frags.unit();
-        let unit = unit_sz as usize;
-        for s in &case.survivors {
-            let f = &self.frags.fragments()[s.frag];
-            for u in 0..f.units(unit_sz) {
-                if s.unit_mask & (1 << u) == 0 {
-                    continue;
-                }
-                let lo = u as usize * unit;
-                let hi = (lo + unit).min(f.data.len());
-                let a = f.addr.add(lo as u64);
-                self.image.write(a, &f.data[lo..hi]).expect("survivor in range");
-                self.undo.push((a, (hi - lo) as u32));
-            }
+        self.durable_point = Some(p);
+        self.durable_extent =
+            (self.image.extent(Space::Volatile), self.image.extent(Space::Persistent));
+    }
+
+    /// Writes `data` at `addr` as part of the overlay, journaling the
+    /// bytes it replaces.
+    fn overlay_write(&mut self, addr: MemAddr, data: &[u8]) {
+        let at = self.journal.len();
+        self.journal.resize(at + data.len(), 0);
+        self.image.read(addr, &mut self.journal[at..]).expect("overlay region in range");
+        self.image.write(addr, data).expect("overlay region in range");
+        self.overlay.push((addr, data.len() as u32));
+    }
+
+    /// Undoes the overlay, newest write first, and truncates the image to
+    /// its extent once the durable lines were written: the image then
+    /// holds exactly the base plus the durable lines.
+    fn drop_overlay(&mut self) {
+        for &(addr, len) in self.overlay.iter().rev() {
+            let at = self.journal.len() - len as usize;
+            self.image.write(addr, &self.journal[at..]).expect("overlay region in range");
+            self.journal.truncate(at);
         }
+        self.overlay.clear();
+        self.image.truncate(Space::Volatile, self.durable_extent.0);
+        self.image.truncate(Space::Persistent, self.durable_extent.1);
     }
 
     /// Applies a recovery script's writes on top of the loaded image
-    /// (barriers are ordering-only), keeping them undoable.
+    /// (barriers are ordering-only), as part of the overlay.
     pub fn apply_recovery(&mut self, script: &[RecoveryStep]) {
         for step in script {
             if let RecoveryStep::Write { addr, value } = step {
-                self.undo.push((*addr, 8));
-                self.image.write_u64(*addr, *value).expect("recovery write in range");
+                self.overlay_write(*addr, &value.to_le_bytes());
             }
         }
     }
@@ -207,15 +266,17 @@ impl<'a> Replayer<'a> {
     /// image is truncated to the base extent. O(written regions).
     pub fn reset(&mut self) {
         let mut buf = [0u8; CACHE_LINE_BYTES as usize];
-        for &(addr, len) in &self.undo {
+        for &(addr, len) in self.durable.iter().chain(&self.overlay) {
             let b = &mut buf[..len as usize];
-            self.base.read(addr, b).expect("undo region in range");
-            self.image.write(addr, b).expect("undo region in range");
+            self.base.read(addr, b).expect("written region in range");
+            self.image.write(addr, b).expect("written region in range");
         }
-        self.undo.clear();
+        self.durable.clear();
+        self.overlay.clear();
+        self.journal.clear();
         self.image.truncate(Space::Volatile, self.base_extent.0);
         self.image.truncate(Space::Persistent, self.base_extent.1);
-        self.dirty = false;
+        self.durable_point = None;
     }
 }
 
